@@ -722,8 +722,9 @@ class ServeCluster {
     std::vector<const telemetry::MetricsRegistry*> regs;
     regs.reserve(shards_.size());
     for (const auto& t : shard_tel_) regs.push_back(&t->registry);
-    // Counters and gauges are atomic: safe to read live. Histograms are
-    // single-writer, so each shard's are copied under that shard's mutex.
+    // Counters and gauges are atomic: read them live. Histograms are
+    // copied under each shard's mutex, so every snapshot matches a batch
+    // boundary (bucket totals equal _count).
     telemetry::openmetrics::write_labeled_families(
         w, regs, "shard", /*include_histograms=*/false);
     std::set<std::string> hist_names;

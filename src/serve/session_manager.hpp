@@ -31,10 +31,9 @@
 // flag instead of racing the step.
 //
 // A session's own FilterConfig::telemetry/monitor (if any) is exercised
-// from scheduler worker threads. Counters and gauges are atomic, but
-// stage histograms are single-writer, so share one Telemetry instance
-// across sessions only with a single-worker manager; otherwise give each
-// session its own instance (or none).
+// from scheduler worker threads. Every Telemetry member accepts
+// concurrent recording, so one instance may be shared across sessions at
+// any worker count.
 #pragma once
 
 #include <algorithm>
@@ -411,15 +410,22 @@ class SessionManager {
       // Session filters with their own profilers nest stage scopes inside
       // and restore this share on exit.
       profile::Scope prof_scope(prof_, batch_accum_);
-      pool_.run(batch.size(), [&](std::size_t i, std::size_t /*worker*/) {
-        Entry& e = batch[i];
-        if (e.req.ctx) {
-          e.bctx = e.req.ctx.child("batch", batch_seq);
-          e.session->filter->step(e.req.z, e.req.u, &e.bctx);
-        } else {
-          e.session->filter->step(e.req.z, e.req.u);
-        }
-      });
+      // chunk = 1: the batch is ordered costliest-first (LPT, see
+      // serve.hpp), which balances only if each worker claims one session
+      // at a time. The pool's default contiguous blocks would hand the
+      // costliest sessions to one worker.
+      pool_.run(
+          batch.size(),
+          [&](std::size_t i, std::size_t /*worker*/) {
+            Entry& e = batch[i];
+            if (e.req.ctx) {
+              e.bctx = e.req.ctx.child("batch", batch_seq);
+              e.session->filter->step(e.req.z, e.req.u, &e.bctx);
+            } else {
+              e.session->filter->step(e.req.z, e.req.u);
+            }
+          },
+          /*chunk=*/1);
     }
     flight_.record(telemetry::FlightEventKind::kSpanEnd, "batch", 0,
                    batch_seq, batch.size());
@@ -566,8 +572,8 @@ class SessionManager {
 
   /// Copy of the manager's request-latency histogram, taken under the
   /// manager mutex so the buckets are consistent with batch completion
-  /// (histograms are single-writer; an unlocked cross-thread read would
-  /// race). Empty when the manager has no telemetry. This is what a
+  /// (an unlocked copy could land between two fields of one sample).
+  /// Empty when the manager has no telemetry. This is what a
   /// ServeCluster merges into its cluster-wide latency view.
   [[nodiscard]] telemetry::LatencyHistogram latency_snapshot() const {
     std::unique_lock lock(mutex_);
@@ -576,9 +582,9 @@ class SessionManager {
   }
 
   /// Runs `fn` with the manager mutex held, excluding in-flight batch
-  /// completions -- lets an owning ServeCluster read this manager's
-  /// single-writer telemetry (histograms) race-free while aggregating
-  /// cross-shard exposition documents.
+  /// completions -- lets an owning ServeCluster copy this manager's
+  /// histograms at a batch boundary while aggregating cross-shard
+  /// exposition documents.
   template <typename Fn>
   void with_export_lock(Fn&& fn) const {
     std::unique_lock lock(mutex_);

@@ -69,7 +69,7 @@ class MetricsRegistry {
 
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
-  /// Histograms are single-writer (record host-side between launches).
+  /// Histograms accept concurrent writers (see LatencyHistogram).
   [[nodiscard]] LatencyHistogram& histogram(std::string_view name);
 
   [[nodiscard]] std::vector<std::string> counter_names() const;

@@ -108,9 +108,10 @@ void write_registry(std::ostream& os, const MetricsRegistry& registry);
 /// followed by one sample per registry that has the family, labeled
 /// `label="<index>"`. Registries must agree on a family's kind (they do:
 /// all shards register the same serve.* catalogue). No terminator, so the
-/// caller can append cluster-level families before eof(). Histograms are
-/// single-writer: pass include_histograms = false when the registries'
-/// owners may still be recording, and write histogram families yourself
+/// caller can append cluster-level families before eof(). A histogram read
+/// while its owner still records is race-free but may mix fields from
+/// before and after a sample (a bucket total off from _count): pass
+/// include_histograms = false then, and write histogram families yourself
 /// from owner-locked snapshots (family_header + histogram_sample).
 void write_labeled_families(Writer& w,
                             const std::vector<const MetricsRegistry*>&

@@ -87,6 +87,48 @@ TEST(LatencyHistogram, ResetClearsEverything) {
   EXPECT_EQ(h.max(), 0.0);
 }
 
+TEST(LatencyHistogram, ConcurrentWritersMatchOneWriter) {
+  // The same multiset of samples recorded by one thread and by four racing
+  // threads (interleaved record() with exemplars, plus a merge) must give
+  // identical state field for field: counts, the nanosecond sum, min/max
+  // and the retained exemplars.
+  constexpr std::size_t kSamples = 4000;
+  const auto sample = [](std::size_t i) {
+    return 1e-6 * static_cast<double>(1 + (i * 7919) % 5000);
+  };
+  telemetry::LatencyHistogram one;
+  for (std::size_t i = 0; i < kSamples; ++i) one.record(sample(i), 1 + i);
+
+  telemetry::LatencyHistogram many;
+  telemetry::LatencyHistogram half;  // merged in while writers run
+  for (std::size_t i = 0; i < kSamples; i += 2) half.record(sample(i), 1 + i);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 2 * t + 1; i < kSamples; i += 8) {
+        many.record(sample(i), 1 + i);
+      }
+      if (t == 0) many.merge(half);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(many.count(), one.count());
+  EXPECT_EQ(many.sum(), one.sum());
+  EXPECT_EQ(many.min(), one.min());
+  EXPECT_EQ(many.max(), one.max());
+  for (std::size_t b = 0; b < telemetry::LatencyHistogram::kBucketCount; ++b) {
+    EXPECT_EQ(many.bucket_count(b), one.bucket_count(b)) << "bucket " << b;
+    EXPECT_EQ(many.exemplar_trace(b), one.exemplar_trace(b)) << "bucket " << b;
+    EXPECT_EQ(many.exemplar_value(b), one.exemplar_value(b)) << "bucket " << b;
+  }
+  // A copy is a full snapshot.
+  const telemetry::LatencyHistogram copy = many;
+  EXPECT_EQ(copy.count(), one.count());
+  EXPECT_EQ(copy.sum(), one.sum());
+  EXPECT_EQ(copy.p99(), one.p99());
+}
+
 // ----------------------------------------------------------------- registry
 
 TEST(MetricsRegistry, CountersGaugesAndStableReferences) {
