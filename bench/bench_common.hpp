@@ -244,6 +244,24 @@ inline void print_header(const char* figure, const char* description) {
             << device::host_description() << "\n\n";
 }
 
+/// Adds everything `from` recorded into `into`: counters add, gauges
+/// overwrite, histograms merge, trace spans append. The serve benches use
+/// it to fold a ServeCluster shard's serve.* telemetry into their report.
+inline void fold_telemetry(const telemetry::Telemetry& from,
+                           telemetry::Telemetry& into) {
+  const auto& reg = from.registry;
+  for (const auto& n : reg.counter_names()) {
+    into.registry.counter(n).add(reg.find_counter(n)->value());
+  }
+  for (const auto& n : reg.gauge_names()) {
+    into.registry.gauge(n).set(reg.find_gauge(n)->value());
+  }
+  for (const auto& n : reg.histogram_names()) {
+    into.registry.histogram(n).merge(*reg.find_histogram(n));
+  }
+  for (auto& span : from.trace.spans()) into.trace.record_span(std::move(span));
+}
+
 /// Machine-readable bench output + optional telemetry attachment.
 ///
 /// Every bench harness owns one Report: it mirrors what the bench prints

@@ -14,7 +14,6 @@
 
 #include "bench_common.hpp"
 #include "serve/cluster.hpp"
-#include "serve/session_manager.hpp"
 
 namespace {
 
@@ -112,20 +111,23 @@ int main(int argc, char** argv) {
         {"centralized n=256 Vose", bench_util::Table::num(rmse_central, 4)});
   }
 
-  // Serving runtime: a closed-loop, fixed submit pattern through the
-  // SessionManager -- deliberate per-session saturation (deterministic
-  // admission rejects), batched EDF scheduling, and a mid-run
-  // evict/restore cycle. Every gated quantity (serve.* counters, the
-  // histogram invocation counts, and the estimate checksum below) is
-  // machine-independent; request latency values are not compared.
+  // Serving runtime: a closed-loop, fixed submit pattern through a
+  // one-shard ServeCluster -- deliberate per-session saturation
+  // (deterministic admission rejects), batched EDF scheduling, and a
+  // mid-run evict/restore cycle. Every gated quantity (the shard's serve.*
+  // counters, folded into the report below, the histogram invocation
+  // counts, and the estimate checksum) is machine-independent; request
+  // latency values are not compared.
   {
-    serve::ServeConfig scfg;
-    scfg.workers = 1;  // single-writer stage histograms share the registry
-    scfg.max_queue = 8;
-    scfg.max_pending_per_session = 2;
-    scfg.max_batch = 3;
-    scfg.telemetry = report.telemetry();
-    serve::SessionManager<models::RobotArmModel<float>> mgr(scfg);
+    serve::ClusterConfig ccfg;
+    ccfg.shards = 1;
+    // Inline batches: the gated counts do not depend on the worker
+    // count, and one thread keeps the gate run small.
+    ccfg.shard.workers = 1;
+    ccfg.shard.max_queue = 8;
+    ccfg.shard.max_pending_per_session = 2;
+    ccfg.shard.max_batch = 3;
+    serve::ServeCluster<models::RobotArmModel<float>> server(ccfg);
 
     constexpr std::size_t kSessions = 3;
     constexpr std::size_t kRounds = 10;
@@ -138,7 +140,7 @@ int main(int argc, char** argv) {
       fcfg.num_filters = 8;
       fcfg.seed = 77 + s;
       fcfg.telemetry = report.telemetry();
-      const auto opened = mgr.open_session(scenarios[s].make_model<float>(), fcfg);
+      const auto opened = server.open_session(scenarios[s].make_model<float>(), fcfg);
       if (!opened.ok()) {
         std::cerr << "error: serve gate open_session: "
                   << serve::to_string(opened.admission) << '\n';
@@ -158,14 +160,14 @@ int main(int argc, char** argv) {
           z.assign(step.z.begin(), step.z.end());
           u.assign(step.u.begin(), step.u.end());
           const auto verdict =
-              mgr.submit(ids[s], z, u, static_cast<double>(round));
+              server.submit(ids[s], z, u, static_cast<double>(round));
           if (!verdict.ok()) ++rejected;
         }
       }
-      while (mgr.run_batch().dispatched > 0) {
+      while (server.pump() > 0) {
       }
       if (round == kRounds / 2) {
-        const auto blob = mgr.evict(ids[1]);
+        const auto blob = server.evict(ids[1]);
         if (!blob) return 1;
         scenarios[1].reset(301);
         core::FilterConfig fcfg;
@@ -174,18 +176,22 @@ int main(int argc, char** argv) {
         fcfg.seed = 78;
         fcfg.telemetry = report.telemetry();
         const auto restored =
-            mgr.restore_session(scenarios[1].make_model<float>(), fcfg, *blob);
+            server.restore_session(scenarios[1].make_model<float>(), fcfg, *blob);
         if (!restored.ok()) return 1;
         ids[1] = restored.id;
       }
     }
-    mgr.drain();
+    server.drain();
+    if (report.telemetry() != nullptr) {
+      bench::fold_telemetry(*server.shard(0).config().telemetry,
+                            *report.telemetry());
+    }
 
     // Deterministic up to libm, like the RMSE values: the summed absolute
     // final estimates across sessions.
     double estimate_l1 = 0.0;
     for (std::size_t s = 0; s < kSessions; ++s) {
-      const auto est = *mgr.estimate(ids[s]);
+      const auto est = *server.estimate(ids[s]);
       for (const float v : est) estimate_l1 += std::abs(static_cast<double>(v));
     }
     report.add_value("serve_rejected", static_cast<double>(rejected));

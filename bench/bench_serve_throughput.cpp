@@ -1,15 +1,16 @@
 // Serving-runtime throughput: N independent robot-arm tracking sessions
-// behind one SessionManager, driven by an open-loop arrival schedule (the
+// behind one ServeCluster, driven by an open-loop arrival schedule (the
 // submit side never waits for completions, like real ingress traffic).
 // Arrivals past the admission bounds are rejected with a structured
 // reason and counted -- an open-loop client loses those samples, it does
-// not retry. The report carries end-to-end request latency quantiles
+// not retry. By default the server has one shard, and the report carries
+// that shard's serve.* telemetry: end-to-end request latency quantiles
 // (serve.request.latency), the batch-size histogram, and the
 // serve.rejected.* counters via the standard telemetry snapshot.
 //
-// With --trace the workload runs twice: once untraced (scratch telemetry,
-// trace_requests off) and once traced, and the report carries both p50s
-// plus their ratio -- the measured cost of request tracing itself.
+// With --trace the workload runs twice: once untraced (trace_requests
+// off) and once traced, and the report carries both p50s plus their
+// ratio -- the measured cost of request tracing itself.
 //
 //   --sessions S     concurrent tracking sessions (default 8, --full 32)
 //   --requests K     observe() requests per session (default 100, --full 500)
@@ -17,23 +18,23 @@
 //                    0 (default) = unthrottled, every request arrives at t=0,
 //                    deliberately saturating admission control
 //   --max-batch B    scheduler batch capacity (default 16)
-//   --max-queue Q    global admission bound (default 256)
-//   --flight-dump P  dump the manager's flight-recorder ring to P as
+//   --max-queue Q    per-shard admission bound (default 256)
+//   --flight-dump P  dump the server's flight-recorder ring to P as
 //                    esthera.flight/1 JSONL after the run
-//   --statusz P      dump one esthera.statusz/1 document to P after the run
+//   --statusz P      dump one esthera.cluster.statusz/1 document to P after
+//                    the run
 //
-// With --shards N (N > 1) the single manager is replaced by an
-// esthera::serve::ServeCluster and the workload becomes a sweep: the same
-// open-loop schedule at 1x, 4x, and 10x the configured session count,
-// reporting per-point p99 request latency and the reject mix from the
-// cluster.* counters. Cluster-mode extras:
+// With --shards N (N > 1) the workload becomes a sweep: the same
+// open-loop schedule at 1x, 4x, and 10x the configured session count
+// through an N-shard cluster, reporting per-point p99 request latency and
+// the reject mix from the cluster.* counters. Sweep extras:
 //
-//   --shards N             SessionManager shards behind the hash ring
+//   --shards N             shards behind the hash ring
 //   --spill-budget BYTES   spill-store byte budget; also caps resident
 //                          sessions at 3/4 of the sweep point's session
 //                          count so the LRU spiller actually engages
-//   --cluster-statusz P    dump the aggregated esthera.cluster.statusz/1
-//                          document (largest sweep point) to P
+//   --cluster-statusz P    dump the esthera.cluster.statusz/1 document
+//                          (largest sweep point) to P
 //   --cluster-openmetrics P  dump the shard-labeled OpenMetrics exposition
 //                          (largest sweep point) to P
 #include <chrono>
@@ -46,13 +47,12 @@
 
 #include "bench_common.hpp"
 #include "serve/cluster.hpp"
-#include "serve/session_manager.hpp"
 
 namespace {
 
 using namespace esthera;
 using Clock = std::chrono::steady_clock;
-using Manager = serve::SessionManager<models::RobotArmModel<float>>;
+using Cluster = serve::ServeCluster<models::RobotArmModel<float>>;
 
 struct SessionTraffic {
   std::vector<std::vector<float>> z;
@@ -63,29 +63,56 @@ struct WorkloadResult {
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t batches = 0;
+  std::uint64_t spills = 0;
+  std::uint64_t spill_restores = 0;
   double wall = 0.0;
-  double latency_p50 = 0.0;
+  double p50 = 0.0;
+  double p99 = 0.0;
 };
 
-// One full open-loop run against a fresh manager. Traffic is regenerated
-// from the same scenario seeds each call, so the traced and untraced runs
-// see identical request streams.
-WorkloadResult run_workload(std::size_t sessions, std::size_t requests,
-                            double rate, serve::ServeConfig scfg,
-                            telemetry::Telemetry* tel,
-                            const std::string& flight_dump_path = "",
-                            const std::string& statusz_path = "") {
-  scfg.telemetry = tel;
-  Manager mgr(scfg);
+/// Writes one document to `path` through `write`; exits on I/O failure.
+template <typename Write>
+void dump(const std::string& path, const char* what, Write&& write) {
+  if (path.empty()) return;
+  std::ofstream os(path);
+  if (!os) {
+    std::cerr << "error: cannot write " << what << " to " << path << '\n';
+    std::exit(1);
+  }
+  write(os);
+  std::cout << what << ": " << path << '\n';
+}
 
-  // Stage histograms are single-writer, so sessions share the run's
-  // telemetry only when batches execute on a single worker.
-  telemetry::Telemetry* session_tel = mgr.worker_count() == 1 ? tel : nullptr;
+struct Dumps {
+  std::string flight, statusz, openmetrics;
+};
+
+// One open-loop run against a fresh cluster. Traffic is regenerated from
+// the same scenario seeds each call, so the traced and untraced runs and
+// every sweep point see identical request streams. Pumped from this
+// thread only; per-session trajectories stay deterministic, the measured
+// quantity is scheduling + stepping. Sessions record into `session_tel`
+// when given, and shard 0's serve.* telemetry is folded into it after the
+// run; `cluster_tel` receives the cluster.* catalogue.
+WorkloadResult run_workload(serve::ClusterConfig ccfg, std::size_t sessions,
+                            std::size_t requests, double rate,
+                            std::size_t spill_budget,
+                            telemetry::Telemetry* cluster_tel,
+                            telemetry::Telemetry* session_tel,
+                            const Dumps& dumps = {}) {
+  ccfg.telemetry = cluster_tel;
+  if (spill_budget > 0) {
+    ccfg.spill.budget_bytes = spill_budget;
+    // A spill budget without residency pressure never spills; cap the
+    // resident set so the LRU sweep has work to do.
+    ccfg.max_resident_sessions = std::max<std::size_t>(1, sessions * 3 / 4);
+  }
+  Cluster cluster(ccfg);
 
   // Pre-generate each session's observation stream so the measured loop is
   // submit + schedule + step, nothing else.
   std::vector<SessionTraffic> traffic(sessions);
-  std::vector<Manager::SessionId> ids;
+  std::vector<Cluster::SessionId> ids;
   for (std::size_t s = 0; s < sessions; ++s) {
     sim::RobotArmScenario scenario;
     scenario.reset(1000 + s);
@@ -97,7 +124,7 @@ WorkloadResult run_workload(std::size_t sessions, std::size_t requests,
     // Tenant tag: spread sessions over three synthetic owners so traces,
     // flight events, and statusz show per-tenant attribution.
     const auto opened =
-        mgr.open_session(scenario.make_model<float>(), fcfg, 1 + s % 3);
+        cluster.open_session(scenario.make_model<float>(), fcfg, 1 + s % 3);
     if (!opened.ok()) {
       std::cerr << "error: open_session: " << serve::to_string(opened.admission)
                 << '\n';
@@ -121,120 +148,6 @@ WorkloadResult run_workload(std::size_t sessions, std::size_t requests,
   WorkloadResult result;
   std::size_t next = 0;
   const auto t0 = Clock::now();
-  while (next < total || mgr.queue_depth() > 0) {
-    const double now = std::chrono::duration<double>(Clock::now() - t0).count();
-    while (next < total) {
-      const double at = rate > 0.0 ? static_cast<double>(next) / rate : 0.0;
-      if (at > now) break;
-      const std::size_t s = next % sessions;
-      const std::size_t k = next / sessions;
-      const auto verdict = mgr.submit(ids[s], traffic[s].z[k], traffic[s].u[k], at);
-      verdict.ok() ? ++result.accepted : ++result.rejected;
-      ++next;
-    }
-    const auto stats = mgr.run_batch();
-    if (stats.dispatched > 0) {
-      ++result.batches;
-    } else if (next < total) {
-      // Ahead of the arrival schedule: yield until the next request is due.
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-  result.wall = std::chrono::duration<double>(Clock::now() - t0).count();
-  mgr.drain();
-
-  if (tel != nullptr) {
-    result.latency_p50 = tel->registry.histogram("serve.request.latency").p50();
-  }
-  if (!flight_dump_path.empty()) {
-    std::ofstream os(flight_dump_path);
-    if (os) {
-      mgr.dump_flight(os);
-      std::cout << "flight: " << flight_dump_path << '\n';
-    } else {
-      std::cerr << "error: cannot write flight dump to " << flight_dump_path
-                << '\n';
-      std::exit(1);
-    }
-  }
-  if (!statusz_path.empty()) {
-    std::ofstream os(statusz_path);
-    if (os) {
-      mgr.write_statusz(os);
-      std::cout << "statusz: " << statusz_path << '\n';
-    } else {
-      std::cerr << "error: cannot write statusz to " << statusz_path << '\n';
-      std::exit(1);
-    }
-  }
-  return result;
-}
-
-using Cluster = serve::ServeCluster<models::RobotArmModel<float>>;
-
-struct ClusterResult {
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t spills = 0;
-  std::uint64_t spill_restores = 0;
-  double wall = 0.0;
-  double p50 = 0.0;
-  double p99 = 0.0;
-};
-
-// One open-loop run against a fresh ServeCluster, same arrival schedule as
-// the single-manager path (request k of session s arrives at index
-// k*sessions + s). Pumped from this thread only; per-session trajectories
-// stay deterministic, the measured quantity is scheduling + stepping.
-ClusterResult run_cluster_workload(std::size_t shards, std::size_t sessions,
-                                   std::size_t requests, double rate,
-                                   const serve::ServeConfig& shard_cfg,
-                                   std::size_t spill_budget,
-                                   telemetry::Telemetry& tel,
-                                   const std::string& statusz_path = "",
-                                   const std::string& om_path = "") {
-  serve::ClusterConfig ccfg;
-  ccfg.shards = shards;
-  ccfg.shard = shard_cfg;
-  ccfg.telemetry = &tel;
-  if (spill_budget > 0) {
-    ccfg.spill.budget_bytes = spill_budget;
-    // A spill budget without residency pressure never spills; cap the
-    // resident set so the LRU sweep has work to do.
-    ccfg.max_resident_sessions = std::max<std::size_t>(1, sessions * 3 / 4);
-  }
-  Cluster cluster(ccfg);
-
-  std::vector<SessionTraffic> traffic(sessions);
-  std::vector<Cluster::SessionId> ids;
-  for (std::size_t s = 0; s < sessions; ++s) {
-    sim::RobotArmScenario scenario;
-    scenario.reset(1000 + s);
-    core::FilterConfig fcfg;
-    fcfg.particles_per_filter = 32;
-    fcfg.num_filters = 8;
-    fcfg.seed = 100 + s;
-    const auto opened =
-        cluster.open_session(scenario.make_model<float>(), fcfg, 1 + s % 3);
-    if (!opened.ok()) {
-      std::cerr << "error: cluster open_session: "
-                << serve::to_string(opened.admission) << '\n';
-      std::exit(1);
-    }
-    ids.push_back(opened.id);
-    traffic[s].z.reserve(requests);
-    traffic[s].u.reserve(requests);
-    for (std::size_t k = 0; k < requests; ++k) {
-      const auto step = scenario.advance();
-      traffic[s].z.emplace_back(step.z.begin(), step.z.end());
-      traffic[s].u.emplace_back(step.u.begin(), step.u.end());
-    }
-  }
-
-  const std::size_t total = sessions * requests;
-  ClusterResult result;
-  std::size_t next = 0;
-  const auto t0 = Clock::now();
   while (next < total || cluster.queue_depth() > 0) {
     const double now = std::chrono::duration<double>(Clock::now() - t0).count();
     while (next < total) {
@@ -247,7 +160,10 @@ ClusterResult run_cluster_workload(std::size_t shards, std::size_t sessions,
       verdict.ok() ? ++result.accepted : ++result.rejected;
       ++next;
     }
-    if (cluster.pump() == 0 && next < total) {
+    if (cluster.pump() > 0) {
+      ++result.batches;
+    } else if (next < total) {
+      // Ahead of the arrival schedule: yield until the next request is due.
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   }
@@ -257,33 +173,18 @@ ClusterResult run_cluster_workload(std::size_t shards, std::size_t sessions,
   const auto merged = cluster.merged_latency();
   result.p50 = merged.quantile(0.50);
   result.p99 = merged.quantile(0.99);
-  if (const auto* c = tel.registry.find_counter("cluster.spills")) {
-    result.spills = c->value();
+  if (cluster_tel != nullptr) {
+    result.spills = cluster_tel->registry.counter("cluster.spills").value();
+    result.spill_restores =
+        cluster_tel->registry.counter("cluster.spill.restores").value();
   }
-  if (const auto* c = tel.registry.find_counter("cluster.spill.restores")) {
-    result.spill_restores = c->value();
-  }
-  if (!statusz_path.empty()) {
-    std::ofstream os(statusz_path);
-    if (os) {
-      cluster.write_statusz(os);
-      std::cout << "cluster statusz: " << statusz_path << '\n';
-    } else {
-      std::cerr << "error: cannot write cluster statusz to " << statusz_path
-                << '\n';
-      std::exit(1);
-    }
-  }
-  if (!om_path.empty()) {
-    std::ofstream os(om_path);
-    if (os) {
-      cluster.write_openmetrics(os);
-      std::cout << "cluster openmetrics: " << om_path << '\n';
-    } else {
-      std::cerr << "error: cannot write cluster openmetrics to " << om_path
-                << '\n';
-      std::exit(1);
-    }
+  dump(dumps.flight, "flight", [&](std::ostream& os) { cluster.dump_flight(os); });
+  dump(dumps.statusz, "statusz",
+       [&](std::ostream& os) { cluster.write_statusz(os); });
+  dump(dumps.openmetrics, "openmetrics",
+       [&](std::ostream& os) { cluster.write_openmetrics(os); });
+  if (session_tel != nullptr) {
+    bench::fold_telemetry(*cluster.shard(0).config().telemetry, *session_tel);
   }
   return result;
 }
@@ -300,7 +201,7 @@ int main(int argc, char** argv) {
   bench::Report report(
       cli, "Serving throughput",
       "Open-loop multi-tenant serving: independent tracking sessions behind "
-      "one SessionManager; latency quantiles and admission rejects in the "
+      "one ServeCluster; latency quantiles and admission rejects in the "
       "telemetry snapshot.");
   report.print_header();
 
@@ -308,17 +209,18 @@ int main(int argc, char** argv) {
   const std::size_t requests = cli.get_size("--requests", cli.full_scale() ? 500 : 100);
   const double rate = cli.get_double("--rate", 0.0);
 
-  serve::ServeConfig scfg;
-  scfg.max_batch = cli.get_size("--max-batch", 16);
-  scfg.max_queue = cli.get_size("--max-queue", 256);
-  scfg.max_pending_per_session = 8;
+  serve::ClusterConfig ccfg;
+  ccfg.shards = cli.get_size("--shards", 1);
+  ccfg.shard.max_batch = cli.get_size("--max-batch", 16);
+  ccfg.shard.max_queue = cli.get_size("--max-queue", 256);
+  ccfg.shard.max_pending_per_session = 8;
 
-  const std::size_t shards = cli.get_size("--shards", 1);
+  const std::size_t shards = ccfg.shards;
   if (shards > 1) {
     // Cluster mode: the same open-loop schedule swept over 1x / 4x / 10x
     // the configured session count -- the scale-out question is how p99
     // and the reject mix hold up as the session population grows past
-    // what one manager serves.
+    // what one shard serves.
     const std::size_t spill_budget = cli.get_size("--spill-budget", 0);
     report.add_value("cluster_shards", static_cast<double>(shards));
     report.add_value("cluster_spill_budget_bytes",
@@ -330,10 +232,13 @@ int main(int argc, char** argv) {
       const std::size_t n = sessions * m;
       telemetry::Telemetry tel;  // fresh counters per sweep point
       const bool last = m == 10;
-      const ClusterResult r = run_cluster_workload(
-          shards, n, requests, rate, scfg, spill_budget, tel,
-          last ? cli.get("--cluster-statusz", "") : "",
-          last ? cli.get("--cluster-openmetrics", "") : "");
+      Dumps dumps;
+      if (last) {
+        dumps.statusz = cli.get("--cluster-statusz", "");
+        dumps.openmetrics = cli.get("--cluster-openmetrics", "");
+      }
+      const WorkloadResult r = run_workload(ccfg, n, requests, rate,
+                                            spill_budget, &tel, nullptr, dumps);
       const double throughput =
           r.wall > 0.0 ? static_cast<double>(r.accepted) / r.wall : 0.0;
       const std::string tag = "cluster_x" + std::to_string(m) + "_";
@@ -377,15 +282,17 @@ int main(int argc, char** argv) {
   double p50_untraced = 0.0;
   if (cli.has("--trace")) {
     telemetry::Telemetry scratch;
-    serve::ServeConfig untraced = scfg;
-    untraced.trace_requests = false;
+    serve::ClusterConfig untraced = ccfg;
+    untraced.shard.trace_requests = false;
     p50_untraced =
-        run_workload(sessions, requests, rate, untraced, &scratch).latency_p50;
+        run_workload(untraced, sessions, requests, rate, 0, nullptr, &scratch).p50;
   }
 
-  const WorkloadResult r =
-      run_workload(sessions, requests, rate, scfg, report.telemetry(),
-                   cli.get("--flight-dump", ""), cli.get("--statusz", ""));
+  Dumps dumps;
+  dumps.flight = cli.get("--flight-dump", "");
+  dumps.statusz = cli.get("--statusz", "");
+  const WorkloadResult r = run_workload(ccfg, sessions, requests, rate, 0,
+                                        nullptr, report.telemetry(), dumps);
 
   const std::size_t total = sessions * requests;
   const double throughput =
@@ -399,9 +306,9 @@ int main(int argc, char** argv) {
   report.add_value("throughput_hz", throughput);
   if (cli.has("--trace")) {
     report.add_value("latency_p50_untraced", p50_untraced);
-    report.add_value("latency_p50_traced", r.latency_p50);
+    report.add_value("latency_p50_traced", r.p50);
     report.add_value("trace_overhead_p50_ratio",
-                     p50_untraced > 0.0 ? r.latency_p50 / p50_untraced : 0.0);
+                     p50_untraced > 0.0 ? r.p50 / p50_untraced : 0.0);
   }
 
   bench_util::Table table({"quantity", "value"});

@@ -1,11 +1,11 @@
 // esthera_scrape: file-serving OpenMetrics exposition for the serve
-// runtime. It drives a small multi-session workload behind a background
-// BatchLoop and, once per interval, snapshots
-// SessionManager::write_openmetrics() into a scrape file -- the
-// "node-exporter textfile collector" integration style: point a
-// Prometheus textfile collector (or `cat`) at the output and every serve
-// counter, latency histogram (with trace-id exemplars), and profile.*
-// gauge is scrape-ready. Each snapshot is written to <out>.tmp and
+// runtime. It drives a small multi-session workload on a one-shard
+// ServeCluster behind a background ClusterPumpLoop and, once per
+// interval, snapshots ServeCluster::write_openmetrics() into a scrape
+// file -- the "node-exporter textfile collector" integration style: point
+// a Prometheus textfile collector (or `cat`) at the output and every
+// serve and cluster counter, latency histogram (with trace-id exemplars),
+// and profile.* gauge is scrape-ready. Each snapshot is written to <out>.tmp and
 // renamed into place, so a concurrent scraper never observes a torn
 // document.
 //
@@ -23,7 +23,7 @@
 #include <thread>
 #include <vector>
 
-#include "serve/session_manager.hpp"
+#include "serve/cluster.hpp"
 #include "sim/ground_truth.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -32,10 +32,10 @@ namespace {
 using namespace esthera;
 using Model = models::RobotArmModel<float>;
 
-bool write_scrape_file(serve::SessionManager<Model>& mgr,
+bool write_scrape_file(serve::ServeCluster<Model>& server,
                        const std::string& out) {
   if (out == "-") {
-    mgr.write_openmetrics(std::cout);
+    server.write_openmetrics(std::cout);
     return true;
   }
   const std::string tmp = out + ".tmp";
@@ -45,7 +45,7 @@ bool write_scrape_file(serve::SessionManager<Model>& mgr,
       std::fprintf(stderr, "error: cannot write %s\n", tmp.c_str());
       return false;
     }
-    mgr.write_openmetrics(os);
+    server.write_openmetrics(os);
   }
   if (std::rename(tmp.c_str(), out.c_str()) != 0) {
     std::fprintf(stderr, "error: cannot rename %s -> %s\n", tmp.c_str(),
@@ -80,14 +80,15 @@ int main(int argc, char** argv) {
   if (scrapes == 0) scrapes = 1;
 
   telemetry::Telemetry tel;
-  serve::ServeConfig scfg;
-  scfg.max_batch = 4;
-  scfg.telemetry = &tel;
-  serve::SessionManager<Model> mgr(scfg);
+  serve::ClusterConfig ccfg;
+  ccfg.shards = 1;
+  ccfg.shard.max_batch = 4;
+  ccfg.telemetry = &tel;
+  serve::ServeCluster<Model> server(ccfg);
 
   constexpr std::size_t kSessions = 4;
   std::vector<sim::RobotArmScenario> scenarios;
-  std::vector<serve::SessionManager<Model>::SessionId> ids;
+  std::vector<serve::ServeCluster<Model>::SessionId> ids;
   for (std::size_t s = 0; s < kSessions; ++s) {
     scenarios.emplace_back();
     scenarios.back().reset(90 + s);
@@ -96,7 +97,7 @@ int main(int argc, char** argv) {
     fcfg.num_filters = 16;
     fcfg.seed = 23 + s;
     const auto opened =
-        mgr.open_session(scenarios.back().make_model<float>(), fcfg, 1 + s % 2);
+        server.open_session(scenarios.back().make_model<float>(), fcfg, 1 + s % 2);
     if (!opened.ok()) {
       std::fprintf(stderr, "open_session rejected: %s\n",
                    serve::to_string(opened.admission));
@@ -106,7 +107,7 @@ int main(int argc, char** argv) {
   }
 
   {
-    serve::BatchLoop<Model> loop(mgr, std::chrono::microseconds(200));
+    serve::ClusterPumpLoop<Model> loop(server, std::chrono::microseconds(200));
     std::vector<float> z, u;
     for (std::size_t scrape = 0; scrape < scrapes; ++scrape) {
       for (std::size_t round = 0; round < 4; ++round) {
@@ -114,21 +115,21 @@ int main(int argc, char** argv) {
           const auto step = scenarios[s].advance();
           z.assign(step.z.begin(), step.z.end());
           u.assign(step.u.begin(), step.u.end());
-          (void)mgr.submit(ids[s], z, u,
+          (void)server.submit(ids[s], z, u,
                            static_cast<double>(scrape * 4 + round));
         }
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-      if (!write_scrape_file(mgr, out)) return 1;
+      if (!write_scrape_file(server, out)) return 1;
       if (out != "-") {
         std::fprintf(stderr, "scrape %zu/%zu: %s\n", scrape + 1, scrapes,
                      out.c_str());
       }
     }
-  }  // BatchLoop drains on scope exit
+  }  // ClusterPumpLoop drains on scope exit
 
   // One final snapshot after the drain, so the file reflects the
   // completed workload (requests completed == requests submitted).
-  if (!write_scrape_file(mgr, out)) return 1;
+  if (!write_scrape_file(server, out)) return 1;
   return 0;
 }

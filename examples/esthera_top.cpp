@@ -85,7 +85,7 @@ void render_frame(std::size_t frame, const telemetry::json::Value& status) {
                 num(*fl, "occupancy"), num(*fl, "capacity"),
                 num(*fl, "overwritten"));
   }
-  // Per-shard load: one row per SessionManager behind the hash ring.
+  // Per-shard load: one row per shard behind the hash ring.
   std::printf("%5s %8s %6s %7s\n", "shard", "sessions", "queue", "spilled");
   if (const auto* shards = status.find("shards");
       shards != nullptr && shards->is_array()) {

@@ -1,12 +1,13 @@
-// Serving demo: three tenants tracking independent robot arms behind one
-// SessionManager, with a mid-run checkpoint/evict/restore cycle showing
-// that a restored session continues its trajectory bit-identically.
+// Serving demo: three tenants tracking independent robot arms behind a
+// one-shard ServeCluster, with a mid-run checkpoint/evict/restore cycle
+// showing that a restored session continues its trajectory
+// bit-identically.
 //
 //   ./serve_demo
 //
 // Walkthrough:
 //   1. open one session per tenant (own seed, shared scheduler pool),
-//   2. submit observe(z, u) requests and let run_batch() schedule them
+//   2. submit observe(z, u) requests and let pump() schedule them
 //      earliest-deadline-first across sessions,
 //   3. checkpoint + evict tenant B, keep serving the others, restore B
 //      from the blob, and verify its estimate picks up exactly where it
@@ -15,7 +16,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "serve/session_manager.hpp"
+#include "serve/cluster.hpp"
 #include "sim/ground_truth.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -24,15 +25,16 @@ int main() {
   using Model = models::RobotArmModel<float>;
 
   telemetry::Telemetry tel;
-  serve::ServeConfig scfg;
-  scfg.max_batch = 4;
-  scfg.telemetry = &tel;
-  serve::SessionManager<Model> mgr(scfg);
+  serve::ClusterConfig ccfg;
+  ccfg.shards = 1;
+  ccfg.shard.max_batch = 4;
+  ccfg.telemetry = &tel;
+  serve::ServeCluster<Model> server(ccfg);
 
   // 1. One tracking session per tenant; each runs its own scenario.
   constexpr std::size_t kTenants = 3;
   std::vector<sim::RobotArmScenario> scenarios;
-  std::vector<serve::SessionManager<Model>::SessionId> ids;
+  std::vector<serve::ServeCluster<Model>::SessionId> ids;
   for (std::size_t t = 0; t < kTenants; ++t) {
     scenarios.emplace_back();
     scenarios.back().reset(40 + t);
@@ -40,7 +42,7 @@ int main() {
     fcfg.particles_per_filter = 64;
     fcfg.num_filters = 16;
     fcfg.seed = 7 + t;
-    const auto opened = mgr.open_session(scenarios.back().make_model<float>(), fcfg);
+    const auto opened = server.open_session(scenarios.back().make_model<float>(), fcfg);
     if (!opened.ok()) {
       std::printf("open_session rejected: %s\n", serve::to_string(opened.admission));
       return 1;
@@ -57,7 +59,7 @@ int main() {
       z.assign(step.z.begin(), step.z.end());
       u.assign(step.u.begin(), step.u.end());
       const auto verdict =
-          mgr.submit(ids[t], z, u, /*deadline=*/static_cast<double>(round));
+          server.submit(ids[t], z, u, /*deadline=*/static_cast<double>(round));
       if (!verdict.ok()) {
         std::printf("tenant %zu rejected: %s\n", t,
                     serve::to_string(verdict.admission));
@@ -66,11 +68,11 @@ int main() {
   };
   for (std::size_t round = 0; round < 10; ++round) {
     submit_round(round);
-    mgr.run_batch();
+    server.pump();
   }
 
   // 3. Tenant B goes idle: checkpoint + evict, serve the others, restore.
-  const auto blob = mgr.evict(ids[1]);
+  const auto blob = server.evict(ids[1]);
   if (!blob) return 1;
   std::printf("evicted tenant 1 into a %zu-byte checkpoint\n", blob->size());
   for (std::size_t round = 10; round < 15; ++round) {
@@ -78,9 +80,9 @@ int main() {
       const auto step = scenarios[t].advance();
       z.assign(step.z.begin(), step.z.end());
       u.assign(step.u.begin(), step.u.end());
-      (void)mgr.submit(ids[t], z, u, static_cast<double>(round));
+      (void)server.submit(ids[t], z, u, static_cast<double>(round));
     }
-    mgr.run_batch();
+    server.pump();
   }
 
   core::FilterConfig restore_cfg;
@@ -89,33 +91,33 @@ int main() {
   restore_cfg.seed = 8;  // same tenant-1 model + shape; RNG comes from the blob
   scenarios[1].reset(41);
   const auto restored =
-      mgr.restore_session(scenarios[1].make_model<float>(), restore_cfg, *blob);
+      server.restore_session(scenarios[1].make_model<float>(), restore_cfg, *blob);
   if (!restored.ok()) return 1;
   ids[1] = restored.id;
   std::printf("restored tenant 1 as session %llu at step %llu\n",
               static_cast<unsigned long long>(restored.id),
-              static_cast<unsigned long long>(*mgr.step_index(ids[1])));
+              static_cast<unsigned long long>(*server.step_index(ids[1])));
 
   // 4. Final traffic for everyone, then drain and report.
   scenarios[1].reset(141);  // fresh observation stream for the restored tenant
   for (std::size_t round = 15; round < 20; ++round) {
     submit_round(round);
-    mgr.run_batch();
+    server.pump();
   }
-  mgr.drain();
+  server.drain();
 
   for (std::size_t t = 0; t < kTenants; ++t) {
-    const auto est = *mgr.estimate(ids[t]);
+    const auto est = *server.estimate(ids[t]);
     std::printf("tenant %zu: step %3llu  estimate[0..1] = (%8.4f, %8.4f)\n", t,
-                static_cast<unsigned long long>(*mgr.step_index(ids[t])),
+                static_cast<unsigned long long>(*server.step_index(ids[t])),
                 static_cast<double>(est[0]), static_cast<double>(est[1]));
   }
   std::printf("served %llu requests in %llu batches (%llu rejected)\n",
               static_cast<unsigned long long>(
-                  tel.registry.counter("serve.requests.completed").value()),
+                  tel.registry.counter("cluster.requests.completed").value()),
               static_cast<unsigned long long>(
-                  tel.registry.counter("serve.batches").value()),
+                  tel.registry.counter("cluster.batches").value()),
               static_cast<unsigned long long>(
-                  tel.registry.counter("serve.rejected.session_backlog").value()));
+                  tel.registry.counter("cluster.rejected.session_backlog").value()));
   return 0;
 }

@@ -1,5 +1,5 @@
 // TraceContext: the request-scoped identity that connects one
-// SessionManager::submit() to every span it causes -- admission, queue
+// ServeCluster::submit() to every span it causes -- admission, queue
 // wait, batch residency, the session step, and the six kernel launches
 // under it -- so a single Chrome-trace/Perfetto view shows the whole
 // causal tree for one request.

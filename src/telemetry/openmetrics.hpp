@@ -96,7 +96,7 @@ class Writer {
 
 /// Writes every counter, gauge, and histogram in `registry` (sorted name
 /// order) through `w`, without the terminator -- for callers that append
-/// their own families (e.g. SessionManager's profile info) before eof().
+/// their own families (e.g. ServeCluster's profile info) before eof().
 void write_families(Writer& w, const MetricsRegistry& registry);
 
 /// Writes every counter, gauge, and histogram in `registry` (sorted

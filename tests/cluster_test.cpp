@@ -3,10 +3,11 @@
 // workers, migrate mid-run => bit-identical estimates vs a direct
 // filter), the acceptance scenario (4-shard cluster with one forced
 // migration and one spill/restore cycle mid-run, bit-identical to a
-// single SessionManager), transparent spill restore (a spilled session
+// one-shard server), transparent spill restore (a spilled session
 // is known, never kUnknownSession), structured restore failure on a
 // corrupt spill file, budget refusal keeping sessions resident, EDF
-// deadline shedding and per-tenant fair admission, the cluster.* metric
+// deadline shedding and per-tenant fair admission (including the slots a
+// closed or migrated session returns), the cluster.* metric
 // catalogue, statusz/OpenMetrics aggregation, the shard_imbalance /
 // spill_thrash detectors, and a concurrent submit/pump/migrate/spill
 // stress loop for TSan.
@@ -38,7 +39,6 @@ using namespace esthera;
 
 using ArmModel = models::RobotArmModel<float>;
 using ArmFilter = core::DistributedParticleFilter<ArmModel>;
-using Manager = serve::SessionManager<ArmModel>;
 using Cluster = serve::ServeCluster<ArmModel>;
 
 core::FilterConfig small_config(std::uint64_t seed = 21) {
@@ -186,27 +186,29 @@ TEST(Cluster, MigrationDeterminismMatrix) {
 
 // Acceptance scenario: a session served on a 4-shard cluster -- including
 // one forced migration and one evict-to-spill/restore cycle mid-run --
-// must produce bit-identical estimates to the same session on a single
-// SessionManager.
+// must produce bit-identical estimates to the same session on a one-shard
+// server.
 TEST(Cluster, FourShardMigrationAndSpillCycleMatchesSingleManager) {
   constexpr std::size_t kSteps = 12;
   const Traffic traffic(100, kSteps);
 
-  // Reference: the same session on one SessionManager, no cluster.
+  // Reference: the same session on a one-shard server.
   std::vector<float> single;
   {
-    Manager mgr((serve::ServeConfig()));
-    const auto opened = mgr.open_session(make_model(100), small_config(500));
+    serve::ClusterConfig one;
+    one.shards = 1;
+    Cluster server(one);
+    const auto opened = server.open_session(make_model(100), small_config(500));
     ASSERT_TRUE(opened.ok());
     for (std::size_t k = 0; k < kSteps; ++k) {
-      ASSERT_TRUE(mgr.submit(opened.id, traffic.z[k], traffic.u[k],
-                             static_cast<double>(k))
+      ASSERT_TRUE(server.submit(opened.id, traffic.z[k], traffic.u[k],
+                                static_cast<double>(k))
                       .ok());
-      while (mgr.run_batch().dispatched > 0) {
+      while (server.pump() > 0) {
       }
     }
-    mgr.drain();
-    single = *mgr.estimate(opened.id);
+    server.drain();
+    single = *server.estimate(opened.id);
   }
 
   serve::ClusterConfig ccfg;
@@ -390,6 +392,55 @@ TEST(Cluster, FairAdmissionCapsHotTenant) {
             serve::Admission::kTenantOverQuota);
   EXPECT_TRUE(cluster.submit(cold.id, traffic.z[1], traffic.u[1]).ok());
   cluster.drain();
+}
+
+// Closing a session with queued requests, or migrating one (its queue
+// drains on the source), returns the tenant's fair-admission slots.
+TEST(Cluster, FairAdmissionSlotsReturnOnCloseAndMigrate) {
+  const Traffic traffic(85, 12);
+  const auto tenant_queued = [](Cluster& cluster, double tenant) {
+    std::ostringstream os;
+    cluster.write_statusz(os);
+    const auto doc = telemetry::json::parse(os.str());
+    for (const auto& row : doc->find("tenants")->as_array()) {
+      if (row.find("tenant")->as_number() == tenant) {
+        return row.find("queued")->as_number();
+      }
+    }
+    return -1.0;
+  };
+  for (const bool migrate : {false, true}) {
+    serve::ClusterConfig ccfg;
+    ccfg.shards = migrate ? 2 : 1;
+    ccfg.shard.max_queue = 8;
+    ccfg.shard.max_pending_per_session = 8;
+    ccfg.fair_admission = true;
+    Cluster cluster(ccfg);
+    const auto hot = cluster.open_session(make_model(85), small_config(86), 1);
+    const auto cold = cluster.open_session(make_model(85), small_config(87), 2);
+    ASSERT_TRUE(hot.ok() && cold.ok());
+    for (std::size_t k = 0; k < 4; ++k) {
+      ASSERT_TRUE(cluster.submit(hot.id, traffic.z[k], traffic.u[k]).ok());
+    }
+    ASSERT_TRUE(cluster.submit(cold.id, traffic.z[0], traffic.u[0]).ok());
+    EXPECT_EQ(tenant_queued(cluster, 1.0), 4.0);
+    if (migrate) {
+      const std::size_t from = *cluster.shard_of(hot.id);
+      ASSERT_TRUE(cluster.migrate(hot.id, (from + 1) % 2));
+      EXPECT_EQ(*cluster.step_index(hot.id), 4u);  // its queue ran first
+    } else {
+      EXPECT_TRUE(cluster.close_session(hot.id));
+    }
+    EXPECT_EQ(tenant_queued(cluster, 1.0), 0.0) << "migrate=" << migrate;
+    if (!migrate) {
+      // The cold tenant is alone again: its cap is the whole capacity (8).
+      for (std::size_t k = 1; k < 8; ++k) {
+        EXPECT_TRUE(cluster.submit(cold.id, traffic.z[k], traffic.u[k]).ok())
+            << "k=" << k;
+      }
+    }
+    cluster.drain();
+  }
 }
 
 TEST(Cluster, MetricsCatalogueIsRecorded) {

@@ -1,12 +1,13 @@
-// Serving-runtime tests: checkpoint round-trip bit-identity (including
-// save -> destroy -> restore -> step through the SessionManager),
-// structured rejection of truncated / corrupt / incompatible blobs,
-// determinism under concurrency (fixed per-session seed => bit-identical
-// estimates regardless of manager worker count, batch interleaving, or an
-// intervening checkpoint/restore), admission control with every rejection
-// reason, EDF batch ordering, the serve.* metric catalogue, and a
-// concurrent submit/checkpoint/evict stress loop for TSan (plus a
-// multi-waiter close/evict race on one busy session).
+// Serving-runtime tests on a one-shard server (the single-node shape of
+// ServeCluster): checkpoint round-trip bit-identity (including save ->
+// destroy -> restore -> step through the server), structured rejection of
+// truncated / corrupt / incompatible blobs, determinism under concurrency
+// (fixed per-session seed => bit-identical estimates regardless of worker
+// count, batch interleaving, or an intervening checkpoint/restore),
+// admission control with every rejection reason, EDF batch ordering, the
+// serve.* metric catalogue, and a concurrent submit/checkpoint/evict
+// stress loop for TSan (plus a multi-waiter close/evict race on one busy
+// session).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "serve/session_manager.hpp"
+#include "serve/cluster.hpp"
 #include "sim/ground_truth.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -25,7 +26,20 @@ using namespace esthera;
 
 using ArmModel = models::RobotArmModel<float>;
 using ArmFilter = core::DistributedParticleFilter<ArmModel>;
-using Manager = serve::SessionManager<ArmModel>;
+using Server = serve::ServeCluster<ArmModel>;
+
+/// A one-shard server: the single-node shape of the serving engine.
+serve::ClusterConfig one_shard(serve::ServeConfig scfg = {}) {
+  serve::ClusterConfig ccfg;
+  ccfg.shards = 1;
+  ccfg.shard = scfg;
+  return ccfg;
+}
+
+/// The shard's serve.* registry.
+telemetry::MetricsRegistry& serve_registry(const Server& server) {
+  return server.shard(0).config().telemetry->registry;
+}
 
 core::FilterConfig small_config(std::uint64_t seed = 21) {
   core::FilterConfig cfg;
@@ -259,7 +273,7 @@ TEST(ServeConfig, StepCostModelGrowsWithWork) {
   EXPECT_GT(serve::step_cost_model(small, 6), serve::step_cost_model(small, 3));
 }
 
-/// Drives `sessions` tenants through a manager: submits their traffic in
+/// Drives `sessions` tenants through a server: submits their traffic in
 /// round-robin `burst`-sized chunks and batches until done, then returns
 /// each session's final estimate.
 std::vector<std::vector<float>> serve_trajectories(std::size_t workers,
@@ -272,14 +286,14 @@ std::vector<std::vector<float>> serve_trajectories(std::size_t workers,
   scfg.workers = workers;
   scfg.max_batch = max_batch;
   scfg.max_pending_per_session = kSteps;
-  Manager mgr(scfg);
+  Server server(one_shard(scfg));
 
   std::vector<Traffic> traffic;
-  std::vector<Manager::SessionId> ids;
+  std::vector<Server::SessionId> ids;
   for (std::size_t s = 0; s < kSessions; ++s) {
     traffic.emplace_back(100 + s, kSteps);
     const auto opened =
-        mgr.open_session(make_model(100 + s), small_config(500 + s));
+        server.open_session(make_model(100 + s), small_config(500 + s));
     EXPECT_TRUE(opened.ok());
     ids.push_back(opened.id);
   }
@@ -291,39 +305,39 @@ std::vector<std::vector<float>> serve_trajectories(std::size_t workers,
     for (std::size_t s = 0; s < kSessions; ++s) {
       for (std::size_t b = 0; b < burst && next[s] < kSteps; ++b) {
         const std::size_t k = next[s]++;
-        EXPECT_TRUE(mgr.submit(ids[s], traffic[s].z[k], traffic[s].u[k],
+        EXPECT_TRUE(server.submit(ids[s], traffic[s].z[k], traffic[s].u[k],
                                static_cast<double>(k))
                         .ok());
         ++submitted;
       }
     }
-    while (mgr.run_batch().dispatched > 0) {
+    while (server.pump() > 0) {
     }
     if (checkpoint_cycle && !cycled && submitted >= kSessions * kSteps / 2) {
       // Mid-run: evict session 1 and immediately restore it from the blob.
       cycled = true;
-      const auto blob = mgr.evict(ids[1]);
+      const auto blob = server.evict(ids[1]);
       EXPECT_TRUE(blob.has_value());
       if (blob.has_value()) {
         const auto restored =
-            mgr.restore_session(make_model(101), small_config(501), *blob);
+            server.restore_session(make_model(101), small_config(501), *blob);
         EXPECT_TRUE(restored.ok());
         if (restored.ok()) ids[1] = restored.id;
       }
     }
   }
-  mgr.drain();
+  server.drain();
 
   std::vector<std::vector<float>> result;
   for (std::size_t s = 0; s < kSessions; ++s) {
-    EXPECT_EQ(*mgr.step_index(ids[s]), kSteps);
-    result.push_back(*mgr.estimate(ids[s]));
+    EXPECT_EQ(*server.step_index(ids[s]), kSteps);
+    result.push_back(*server.estimate(ids[s]));
   }
   return result;
 }
 
 TEST(Serve, DeterministicAcrossWorkersBatchingAndRestore) {
-  // Reference: each session's filter stepped directly, no manager at all.
+  // Reference: each session's filter stepped directly, no server at all.
   std::vector<std::vector<float>> reference;
   for (std::size_t s = 0; s < 3; ++s) {
     const Traffic traffic(100 + s, 10);
@@ -339,85 +353,84 @@ TEST(Serve, DeterministicAcrossWorkersBatchingAndRestore) {
 }
 
 TEST(Serve, AdmissionRejectsWithStructuredReasons) {
-  telemetry::Telemetry tel;
   serve::ServeConfig scfg;
   scfg.max_queue = 3;
   scfg.max_pending_per_session = 2;
   scfg.max_sessions = 2;
   scfg.workers = 1;
-  scfg.telemetry = &tel;
-  Manager mgr(scfg);
+  Server server(one_shard(scfg));
   const Traffic traffic(8, 6);
 
-  const auto a = mgr.open_session(make_model(8), small_config(1));
-  const auto b = mgr.open_session(make_model(8), small_config(2));
+  const auto a = server.open_session(make_model(8), small_config(1));
+  const auto b = server.open_session(make_model(8), small_config(2));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  const auto c = mgr.open_session(make_model(8), small_config(3));
+  const auto c = server.open_session(make_model(8), small_config(3));
   EXPECT_EQ(c.admission, serve::Admission::kSessionLimit);
 
-  EXPECT_EQ(mgr.submit(999, traffic.z[0], traffic.u[0]).admission,
+  EXPECT_EQ(server.submit(999, traffic.z[0], traffic.u[0]).admission,
             serve::Admission::kUnknownSession);
-  EXPECT_TRUE(mgr.submit(a.id, traffic.z[0], traffic.u[0]).ok());
-  EXPECT_TRUE(mgr.submit(a.id, traffic.z[1], traffic.u[1]).ok());
-  EXPECT_EQ(mgr.submit(a.id, traffic.z[2], traffic.u[2]).admission,
+  EXPECT_TRUE(server.submit(a.id, traffic.z[0], traffic.u[0]).ok());
+  EXPECT_TRUE(server.submit(a.id, traffic.z[1], traffic.u[1]).ok());
+  EXPECT_EQ(server.submit(a.id, traffic.z[2], traffic.u[2]).admission,
             serve::Admission::kSessionBacklog);
-  EXPECT_TRUE(mgr.submit(b.id, traffic.z[0], traffic.u[0]).ok());
-  EXPECT_EQ(mgr.submit(b.id, traffic.z[1], traffic.u[1]).admission,
+  EXPECT_TRUE(server.submit(b.id, traffic.z[0], traffic.u[0]).ok());
+  EXPECT_EQ(server.submit(b.id, traffic.z[1], traffic.u[1]).admission,
             serve::Admission::kQueueFull);
-  EXPECT_EQ(mgr.queue_depth(), 3u);
+  EXPECT_EQ(server.queue_depth(), 3u);
 
   EXPECT_STREQ(serve::to_string(serve::Admission::kQueueFull), "queue_full");
   EXPECT_STREQ(serve::to_string(serve::Admission::kAccepted), "accepted");
 
   // Drain executes everything already admitted, then rejects new work.
-  mgr.drain();
-  EXPECT_EQ(mgr.queue_depth(), 0u);
-  EXPECT_EQ(*mgr.step_index(a.id), 2u);
-  EXPECT_EQ(*mgr.step_index(b.id), 1u);
-  EXPECT_EQ(mgr.submit(a.id, traffic.z[2], traffic.u[2]).admission,
+  server.drain();
+  EXPECT_EQ(server.queue_depth(), 0u);
+  EXPECT_EQ(*server.step_index(a.id), 2u);
+  EXPECT_EQ(*server.step_index(b.id), 1u);
+  EXPECT_EQ(server.submit(a.id, traffic.z[2], traffic.u[2]).admission,
             serve::Admission::kDraining);
-  EXPECT_EQ(mgr.open_session(make_model(8), small_config(4)).admission,
+  EXPECT_EQ(server.open_session(make_model(8), small_config(4)).admission,
             serve::Admission::kDraining);
 
-  EXPECT_EQ(tel.registry.counter("serve.rejected.session_backlog").value(), 1u);
-  EXPECT_EQ(tel.registry.counter("serve.rejected.queue_full").value(), 1u);
-  EXPECT_EQ(tel.registry.counter("serve.rejected.unknown_session").value(), 1u);
-  EXPECT_EQ(tel.registry.counter("serve.rejected.session_limit").value(), 1u);
-  EXPECT_EQ(tel.registry.counter("serve.rejected.draining").value(), 2u);
-  EXPECT_EQ(tel.registry.counter("serve.requests.accepted").value(), 3u);
-  EXPECT_EQ(tel.registry.counter("serve.requests.completed").value(), 3u);
+  auto& reg = serve_registry(server);
+  EXPECT_EQ(reg.counter("serve.rejected.session_backlog").value(), 1u);
+  EXPECT_EQ(reg.counter("serve.rejected.queue_full").value(), 1u);
+  EXPECT_EQ(reg.counter("serve.rejected.unknown_session").value(), 1u);
+  EXPECT_EQ(reg.counter("serve.rejected.session_limit").value(), 1u);
+  EXPECT_EQ(reg.counter("serve.rejected.draining").value(), 2u);
+  EXPECT_EQ(reg.counter("serve.requests.accepted").value(), 3u);
+  EXPECT_EQ(reg.counter("serve.requests.completed").value(), 3u);
 }
 
 TEST(Serve, BatchOrderIsEdfWithCostAndIdTieBreaks) {
   serve::ServeConfig scfg;
   scfg.workers = 1;
-  Manager mgr(scfg);
+  Server server(one_shard(scfg));
   const Traffic traffic(9, 4);
 
   // Session `big` costs more per step than the two small ones.
   core::FilterConfig big_cfg = small_config(11);
   big_cfg.particles_per_filter = 64;
-  const auto small_a = mgr.open_session(make_model(9), small_config(12));
-  const auto big = mgr.open_session(make_model(9), big_cfg);
-  const auto small_b = mgr.open_session(make_model(9), small_config(13));
+  const auto small_a = server.open_session(make_model(9), small_config(12));
+  const auto big = server.open_session(make_model(9), big_cfg);
+  const auto small_b = server.open_session(make_model(9), small_config(13));
 
   // Deadlines: small_a late (3), big and small_b tied early (1).
-  const auto t1 = mgr.submit(small_a.id, traffic.z[0], traffic.u[0], 3.0);
-  const auto t2 = mgr.submit(big.id, traffic.z[0], traffic.u[0], 1.0);
-  const auto t3 = mgr.submit(small_b.id, traffic.z[0], traffic.u[0], 1.0);
+  const auto t1 = server.submit(small_a.id, traffic.z[0], traffic.u[0], 3.0);
+  const auto t2 = server.submit(big.id, traffic.z[0], traffic.u[0], 1.0);
+  const auto t3 = server.submit(small_b.id, traffic.z[0], traffic.u[0], 1.0);
   ASSERT_TRUE(t1.ok() && t2.ok() && t3.ok());
 
-  const auto stats = mgr.run_batch();
+  const auto stats = server.pump_shard(0);
   ASSERT_EQ(stats.dispatched, 3u);
   // Earliest deadline first; within the tie the costlier session leads.
   EXPECT_EQ(stats.tickets,
             (std::vector<std::uint64_t>{t2.ticket, t3.ticket, t1.ticket}));
 
   // Equal deadline and equal cost: session id decides.
-  const auto u1 = mgr.submit(small_b.id, traffic.z[1], traffic.u[1], 5.0);
-  const auto u2 = mgr.submit(small_a.id, traffic.z[1], traffic.u[1], 5.0);
-  const auto stats2 = mgr.run_batch();
+  const auto u1 = server.submit(small_b.id, traffic.z[1], traffic.u[1], 5.0);
+  const auto u2 = server.submit(small_a.id, traffic.z[1], traffic.u[1], 5.0);
+  const auto stats2 = server.pump_shard(0);
   ASSERT_EQ(stats2.dispatched, 2u);
   EXPECT_EQ(stats2.tickets,
             (std::vector<std::uint64_t>{u2.ticket, u1.ticket}));
@@ -428,45 +441,43 @@ TEST(Serve, NanDeadlineIsTreatedAsNoDeadline) {
   // (UB in std::sort); submit() normalizes it to kNoDeadline instead.
   serve::ServeConfig scfg;
   scfg.workers = 1;
-  Manager mgr(scfg);
+  Server server(one_shard(scfg));
   const Traffic traffic(9, 2);
 
-  const auto a = mgr.open_session(make_model(9), small_config(41));
-  const auto b = mgr.open_session(make_model(9), small_config(42));
-  const auto nan_req = mgr.submit(a.id, traffic.z[0], traffic.u[0],
+  const auto a = server.open_session(make_model(9), small_config(41));
+  const auto b = server.open_session(make_model(9), small_config(42));
+  const auto nan_req = server.submit(a.id, traffic.z[0], traffic.u[0],
                                   std::numeric_limits<double>::quiet_NaN());
-  const auto dl_req = mgr.submit(b.id, traffic.z[0], traffic.u[0], 1.0);
+  const auto dl_req = server.submit(b.id, traffic.z[0], traffic.u[0], 1.0);
   ASSERT_TRUE(nan_req.ok());
   ASSERT_TRUE(dl_req.ok());
 
-  const auto stats = mgr.run_batch();
+  const auto stats = server.pump_shard(0);
   ASSERT_EQ(stats.dispatched, 2u);
   EXPECT_EQ(stats.tickets,
             (std::vector<std::uint64_t>{dl_req.ticket, nan_req.ticket}));
 }
 
 TEST(Serve, MetricsCatalogueIsRecorded) {
-  telemetry::Telemetry tel;
   serve::ServeConfig scfg;
   scfg.workers = 1;
   scfg.max_batch = 2;
-  scfg.telemetry = &tel;
-  Manager mgr(scfg);
+  Server server(one_shard(scfg));
   const Traffic traffic(10, 4);
 
-  const auto a = mgr.open_session(make_model(10), small_config(31));
-  const auto b = mgr.open_session(make_model(10), small_config(32));
+  const auto a = server.open_session(make_model(10), small_config(31));
+  const auto b = server.open_session(make_model(10), small_config(32));
   for (std::size_t k = 0; k < 2; ++k) {
-    ASSERT_TRUE(mgr.submit(a.id, traffic.z[k], traffic.u[k]).ok());
-    ASSERT_TRUE(mgr.submit(b.id, traffic.z[k], traffic.u[k]).ok());
+    ASSERT_TRUE(server.submit(a.id, traffic.z[k], traffic.u[k]).ok());
+    ASSERT_TRUE(server.submit(b.id, traffic.z[k], traffic.u[k]).ok());
   }
-  while (mgr.run_batch().dispatched > 0) {
+  while (server.pump() > 0) {
   }
-  ASSERT_TRUE(mgr.checkpoint(a.id).has_value());
-  ASSERT_TRUE(mgr.evict(b.id).has_value());
-  EXPECT_TRUE(mgr.close_session(a.id));
+  ASSERT_TRUE(server.checkpoint(a.id).has_value());
+  ASSERT_TRUE(server.evict(b.id).has_value());
+  EXPECT_TRUE(server.close_session(a.id));
 
-  auto& reg = tel.registry;
+  auto& reg = serve_registry(server);
   EXPECT_EQ(reg.counter("serve.sessions.opened").value(), 2u);
   EXPECT_EQ(reg.counter("serve.sessions.closed").value(), 1u);
   EXPECT_EQ(reg.counter("serve.sessions.evicted").value(), 1u);
@@ -482,7 +493,7 @@ TEST(Serve, MetricsCatalogueIsRecorded) {
   EXPECT_EQ(reg.find_histogram("serve.batch.size")->count(), 2u);
 }
 
-// Concurrent submit / run_batch / checkpoint / evict+restore: the TSan CI
+// Concurrent submit / pump / checkpoint / evict+restore: the TSan CI
 // job runs this to shake out scheduler races. Assertions are structural
 // (no lost sessions, drain empties the queue); the determinism test above
 // covers value correctness.
@@ -491,20 +502,20 @@ TEST(ServeStress, ConcurrentSubmitCheckpointEvict) {
   scfg.workers = 2;
   scfg.max_queue = 64;
   scfg.max_pending_per_session = 4;
-  Manager mgr(scfg);
+  Server server(one_shard(scfg));
   const Traffic traffic(12, 8);
 
   constexpr std::size_t kSessions = 4;
   std::vector<std::atomic<std::uint64_t>> ids(kSessions);
   for (std::size_t s = 0; s < kSessions; ++s) {
-    const auto opened = mgr.open_session(make_model(12), small_config(700 + s));
+    const auto opened = server.open_session(make_model(12), small_config(700 + s));
     ASSERT_TRUE(opened.ok());
     ids[s].store(opened.id);
   }
 
   std::atomic<bool> stop{false};
   std::thread batcher([&] {
-    while (!stop.load()) mgr.run_batch();
+    while (!stop.load()) server.pump();
   });
   std::vector<std::thread> submitters;
   for (std::size_t t = 0; t < 2; ++t) {
@@ -512,18 +523,18 @@ TEST(ServeStress, ConcurrentSubmitCheckpointEvict) {
       for (std::size_t i = 0; i < 300; ++i) {
         const std::size_t s = (i + t) % kSessions;
         const std::size_t k = i % traffic.z.size();
-        (void)mgr.submit(ids[s].load(), traffic.z[k], traffic.u[k],
+        (void)server.submit(ids[s].load(), traffic.z[k], traffic.u[k],
                          static_cast<double>(i));
       }
     });
   }
   std::thread chaos([&] {
     for (std::size_t i = 0; i < 50; ++i) {
-      (void)mgr.checkpoint(ids[0].load());
-      const auto blob = mgr.evict(ids[1].load());
+      (void)server.checkpoint(ids[0].load());
+      const auto blob = server.evict(ids[1].load());
       if (blob.has_value()) {
         const auto restored =
-            mgr.restore_session(make_model(12), small_config(701), *blob);
+            server.restore_session(make_model(12), small_config(701), *blob);
         ASSERT_TRUE(restored.ok());
         ids[1].store(restored.id);
       }
@@ -533,49 +544,49 @@ TEST(ServeStress, ConcurrentSubmitCheckpointEvict) {
   chaos.join();
   stop.store(true);
   batcher.join();
-  mgr.drain();
+  server.drain();
 
-  EXPECT_EQ(mgr.queue_depth(), 0u);
-  EXPECT_EQ(mgr.session_count(), kSessions);
+  EXPECT_EQ(server.queue_depth(), 0u);
+  EXPECT_EQ(server.session_count(), kSessions);
   for (std::size_t s = 0; s < kSessions; ++s) {
-    EXPECT_TRUE(mgr.estimate(ids[s].load()).has_value());
+    EXPECT_TRUE(server.estimate(ids[s].load()).has_value());
   }
 }
 
 // Regression for the wait-idle use-after-free: several threads wait out
 // the SAME busy session (close racing evict racing estimate on one id).
-// The first waiter to wake erases the map entry, so the others must
+// The first waiter to wake erases the session, so the others must
 // re-look-up the session instead of re-reading a cached reference --
 // exactly one eraser may win, and the ASan/TSan CI jobs verify nobody
-// touches the freed SessionState.
+// touches the freed session state.
 TEST(ServeStress, ConcurrentClosersOnOneBusySession) {
   const Traffic traffic(14, 1);
   for (int round = 0; round < 20; ++round) {
     serve::ServeConfig scfg;
     scfg.workers = 1;
-    Manager mgr(scfg);
+    Server server(one_shard(scfg));
     core::FilterConfig fcfg = small_config(900 + static_cast<std::uint64_t>(round));
     fcfg.particles_per_filter = 256;  // widen the in-flight window
-    const auto opened = mgr.open_session(make_model(14), fcfg);
+    const auto opened = server.open_session(make_model(14), fcfg);
     ASSERT_TRUE(opened.ok());
-    ASSERT_TRUE(mgr.submit(opened.id, traffic.z[0], traffic.u[0]).ok());
+    ASSERT_TRUE(server.submit(opened.id, traffic.z[0], traffic.u[0]).ok());
 
     std::atomic<int> erased{0};
-    std::thread batcher([&] { mgr.run_batch(); });
+    std::thread batcher([&] { server.pump(); });
     std::thread closer([&] {
-      if (mgr.close_session(opened.id)) erased.fetch_add(1);
+      if (server.close_session(opened.id)) erased.fetch_add(1);
     });
     std::thread evictor([&] {
-      if (mgr.evict(opened.id).has_value()) erased.fetch_add(1);
+      if (server.evict(opened.id).has_value()) erased.fetch_add(1);
     });
-    std::thread observer([&] { (void)mgr.estimate(opened.id); });
+    std::thread observer([&] { (void)server.estimate(opened.id); });
     batcher.join();
     closer.join();
     evictor.join();
     observer.join();
 
     EXPECT_EQ(erased.load(), 1) << "round " << round;
-    EXPECT_EQ(mgr.session_count(), 0u) << "round " << round;
+    EXPECT_EQ(server.session_count(), 0u) << "round " << round;
   }
 }
 

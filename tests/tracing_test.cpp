@@ -5,14 +5,16 @@
 // slots, JSONL schema, unregistered codes), the monitor -> flight
 // auto-dump hook, the serve request span tree (request -> queue_wait /
 // batch -> step -> kernels with session and tenant tags), exemplar
-// retention determinism across worker counts, statusz, and the
-// bit-identity guarantee: tracing + flight + monitor attached changes no
-// estimate.
+// retention determinism across worker counts, statusz, a throwing session
+// step releasing its whole batch, and the bit-identity guarantee: tracing
+// + flight + monitor attached changes no estimate.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <future>
+#include <memory>
 #include <fstream>
 #include <map>
 #include <set>
@@ -25,7 +27,7 @@
 
 #include "core/distributed_pf.hpp"
 #include "monitor/monitor.hpp"
-#include "serve/session_manager.hpp"
+#include "serve/cluster.hpp"
 #include "sim/ground_truth.hpp"
 #include "telemetry/context.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -38,7 +40,15 @@ namespace {
 using namespace esthera;
 
 using ArmModel = models::RobotArmModel<float>;
-using Manager = serve::SessionManager<ArmModel>;
+using Server = serve::ServeCluster<ArmModel>;
+
+/// A one-shard server: the single-node shape of the serving engine.
+serve::ClusterConfig one_shard(std::size_t workers = 0) {
+  serve::ClusterConfig ccfg;
+  ccfg.shards = 1;
+  ccfg.shard.workers = workers;
+  return ccfg;
+}
 
 core::FilterConfig small_config(std::uint64_t seed = 21) {
   core::FilterConfig cfg;
@@ -312,19 +322,19 @@ TEST(ServeTracing, MonitorEventFeedsFlightAndAutoDumpsRing) {
   std::remove(dump_path.c_str());
 
   monitor::HealthMonitor mon;
-  serve::ServeConfig scfg;
-  scfg.monitor = &mon;
-  scfg.flight_dump_path = dump_path;
-  Manager mgr(scfg);
+  serve::ClusterConfig ccfg = one_shard();
+  ccfg.monitor = &mon;
+  ccfg.flight_dump_path = dump_path;
+  Server server(ccfg);
 
-  const auto opened = mgr.open_session(make_model(5), small_config(5), 3);
+  const auto opened = server.open_session(make_model(5), small_config(5), 3);
   ASSERT_TRUE(opened.ok());
   const Traffic traffic(5, 2);
-  ASSERT_TRUE(mgr.submit(opened.id, traffic.z[0], traffic.u[0]).ok());
-  mgr.run_batch();
+  ASSERT_TRUE(server.submit(opened.id, traffic.z[0], traffic.u[0]).ok());
+  server.pump();
 
   // Force an ess_collapse emission through the monitor's own probe; the
-  // manager's callback must log it into the flight ring and dump the ring.
+  // server's callback must log it into the flight ring and dump the ring.
   mon.observe_group(/*step=*/1, /*group=*/0, /*ess_fraction=*/0.001,
                     /*unique_parent=*/1.0, /*normalized_entropy=*/1.0,
                     /*degenerate=*/false, /*nonfinite_weights=*/0);
@@ -343,33 +353,30 @@ TEST(ServeTracing, MonitorEventFeedsFlightAndAutoDumpsRing) {
 }
 
 TEST(ServeTracing, RequestTreeIsFullyParentedWithSessionAndTenantTags) {
-  telemetry::Telemetry tel;
-  serve::ServeConfig scfg;
-  scfg.telemetry = &tel;
-  scfg.workers = 1;
-  Manager mgr(scfg);
+  Server server(one_shard(1));
+  telemetry::Telemetry& tel = *server.shard(0).config().telemetry;
 
-  // Sessions share the manager's telemetry (single-worker manager), so the
-  // filter's step/kernel spans land in the same recorder as the serve
-  // layer's request/queue_wait/batch spans -- one tree, one trace file.
+  // Sessions share the shard's telemetry, so the filter's step/kernel
+  // spans land in the same recorder as the serve layer's
+  // request/queue_wait/batch spans -- one tree, one trace file.
   core::FilterConfig fcfg1 = small_config(5);
   core::FilterConfig fcfg2 = small_config(6);
   fcfg1.telemetry = &tel;
   fcfg2.telemetry = &tel;
-  const auto s1 = mgr.open_session(make_model(5), fcfg1, /*tenant=*/7);
-  const auto s2 = mgr.open_session(make_model(6), fcfg2, /*tenant=*/9);
+  const auto s1 = server.open_session(make_model(5), fcfg1, /*tenant=*/7);
+  const auto s2 = server.open_session(make_model(6), fcfg2, /*tenant=*/9);
   ASSERT_TRUE(s1.ok());
   ASSERT_TRUE(s2.ok());
 
   const Traffic t1(5, 3), t2(6, 3);
-  std::vector<Manager::SubmitResult> submits;
+  std::vector<Server::SubmitResult> submits;
   for (std::size_t k = 0; k < 3; ++k) {
-    submits.push_back(mgr.submit(s1.id, t1.z[k], t1.u[k], /*deadline=*/k));
-    submits.push_back(mgr.submit(s2.id, t2.z[k], t2.u[k], /*deadline=*/k));
+    submits.push_back(server.submit(s1.id, t1.z[k], t1.u[k], /*deadline=*/k));
+    submits.push_back(server.submit(s2.id, t2.z[k], t2.u[k], /*deadline=*/k));
     ASSERT_TRUE(submits[submits.size() - 2].ok());
     ASSERT_TRUE(submits.back().ok());
   }
-  mgr.drain();
+  server.drain();
 
   const auto spans = tel.trace.spans();
   for (const auto& submit : submits) {
@@ -434,25 +441,25 @@ TEST(ServeTracing, TracingFlightAndMonitorDoNotPerturbEstimates) {
   const auto run = [&](bool observed) {
     telemetry::Telemetry tel;
     monitor::HealthMonitor mon;
-    serve::ServeConfig scfg;
-    scfg.trace_requests = observed;
+    serve::ClusterConfig ccfg = one_shard();
+    ccfg.shard.trace_requests = observed;
     if (observed) {
-      scfg.telemetry = &tel;
-      scfg.monitor = &mon;
+      ccfg.telemetry = &tel;
+      ccfg.monitor = &mon;
     }
-    Manager mgr(scfg);
+    Server server(ccfg);
     core::FilterConfig fcfg = small_config(77);
     if (observed) {
       fcfg.telemetry = &tel;
       fcfg.monitor = &mon;
     }
-    const auto opened = mgr.open_session(make_model(11), fcfg, 4);
+    const auto opened = server.open_session(make_model(11), fcfg, 4);
     EXPECT_TRUE(opened.ok());
     for (std::size_t k = 0; k < traffic.z.size(); ++k) {
-      EXPECT_TRUE(mgr.submit(opened.id, traffic.z[k], traffic.u[k]).ok());
-      mgr.run_batch();
+      EXPECT_TRUE(server.submit(opened.id, traffic.z[k], traffic.u[k]).ok());
+      server.pump();
     }
-    return *mgr.estimate(opened.id);
+    return *server.estimate(opened.id);
   };
   EXPECT_EQ(run(true), run(false));
 }
@@ -461,27 +468,24 @@ TEST(ServeTracing, ExemplarRetentionIsDeterministicAcrossWorkerCounts) {
   const Traffic t1(31, 4), t2(32, 4), t3(33, 4);
   std::vector<std::uint64_t> minted_reference;
   for (const std::size_t workers : {1u, 2u, 8u}) {
-    telemetry::Telemetry tel;
-    serve::ServeConfig scfg;
-    scfg.telemetry = &tel;
-    scfg.workers = workers;
-    Manager mgr(scfg);
-    const auto s1 = mgr.open_session(make_model(31), small_config(31), 1);
-    const auto s2 = mgr.open_session(make_model(32), small_config(32), 2);
-    const auto s3 = mgr.open_session(make_model(33), small_config(33), 3);
+    Server server(one_shard(workers));
+    const telemetry::Telemetry& tel = *server.shard(0).config().telemetry;
+    const auto s1 = server.open_session(make_model(31), small_config(31), 1);
+    const auto s2 = server.open_session(make_model(32), small_config(32), 2);
+    const auto s3 = server.open_session(make_model(33), small_config(33), 3);
     ASSERT_TRUE(s1.ok() && s2.ok() && s3.ok());
 
     std::vector<std::uint64_t> minted;
     for (std::size_t k = 0; k < 4; ++k) {
       for (const auto& [id, tr] :
            {std::pair(s1.id, &t1), std::pair(s2.id, &t2), std::pair(s3.id, &t3)}) {
-        const auto submit = mgr.submit(id, tr->z[k], tr->u[k]);
+        const auto submit = server.submit(id, tr->z[k], tr->u[k]);
         ASSERT_TRUE(submit.ok());
         minted.push_back(submit.trace.trace_id);
       }
-      mgr.run_batch();
+      server.pump();
     }
-    mgr.drain();
+    server.drain();
 
     // Trace ids are a pure function of (seed, ticket): identical across
     // worker counts.
@@ -492,7 +496,7 @@ TEST(ServeTracing, ExemplarRetentionIsDeterministicAcrossWorkerCounts) {
     }
 
     // Recover each request's recorded latency from its request span; the
-    // manager records the histogram sample as exactly dur_us * 1e-6, so
+    // shard records the histogram sample as exactly dur_us * 1e-6, so
     // the expected exemplar (max value, tie -> min trace id) is
     // reconstructible bit-exactly.
     std::map<std::size_t, std::pair<double, std::uint64_t>> expected;
@@ -511,7 +515,7 @@ TEST(ServeTracing, ExemplarRetentionIsDeterministicAcrossWorkerCounts) {
     }
     EXPECT_EQ(requests_seen, minted.size()) << "workers=" << workers;
 
-    const auto& hist = tel.registry.histogram("serve.request.latency");
+    const auto& hist = *tel.registry.find_histogram("serve.request.latency");
     for (std::size_t b = 0; b < telemetry::LatencyHistogram::kBucketCount; ++b) {
       const auto it = expected.find(b);
       if (it == expected.end()) {
@@ -529,33 +533,40 @@ TEST(ServeTracing, ExemplarRetentionIsDeterministicAcrossWorkerCounts) {
 TEST(ServeTracing, StatuszIsValidJsonWithLiveState) {
   telemetry::Telemetry tel;
   monitor::HealthMonitor mon;
-  serve::ServeConfig scfg;
-  scfg.telemetry = &tel;
-  scfg.monitor = &mon;
-  Manager mgr(scfg);
+  serve::ClusterConfig ccfg = one_shard();
+  ccfg.telemetry = &tel;
+  ccfg.monitor = &mon;
+  Server server(ccfg);
 
-  const auto s1 = mgr.open_session(make_model(5), small_config(5), 7);
-  const auto s2 = mgr.open_session(make_model(6), small_config(6), 9);
+  const auto s1 = server.open_session(make_model(5), small_config(5), 7);
+  const auto s2 = server.open_session(make_model(6), small_config(6), 9);
   ASSERT_TRUE(s1.ok() && s2.ok());
   const Traffic traffic(5, 3);
   for (std::size_t k = 0; k < 3; ++k) {
-    ASSERT_TRUE(mgr.submit(s1.id, traffic.z[k], traffic.u[k]).ok());
+    ASSERT_TRUE(server.submit(s1.id, traffic.z[k], traffic.u[k]).ok());
   }
-  mgr.run_batch();
+  server.pump();
   mon.observe_group(1, 0, 0.001, 1.0, 1.0, false, 0);
 
   std::ostringstream os;
-  mgr.write_statusz(os);
+  server.write_statusz(os);
   std::string error;
   const auto doc = telemetry::json::parse(os.str(), &error);
   ASSERT_TRUE(doc.has_value()) << error;
 
-  EXPECT_EQ(doc->find("schema")->as_string(), "esthera.statusz/1");
-  EXPECT_EQ(doc->find("sessions_open")->as_number(), 2.0);
+  EXPECT_EQ(doc->find("schema")->as_string(), "esthera.cluster.statusz/1");
   EXPECT_EQ(doc->find("queue_depth")->as_number(), 2.0);  // 3 submitted, 1 ran
-  EXPECT_EQ(doc->find("batches_in_flight")->as_number(), 0.0);
+  // The shard row carries the per-shard state.
+  const auto& shards = doc->find("shards")->as_array();
+  ASSERT_EQ(shards.size(), 1u);
+  const auto* shard = shards[0].find("detail");
+  ASSERT_NE(shard, nullptr);
+  EXPECT_EQ(shard->find("schema")->as_string(), "esthera.statusz/1");
+  EXPECT_EQ(shard->find("sessions_open")->as_number(), 2.0);
+  EXPECT_EQ(shard->find("queue_depth")->as_number(), 2.0);
+  EXPECT_EQ(shard->find("batches_in_flight")->as_number(), 0.0);
 
-  const auto& sessions = doc->find("sessions")->as_array();
+  const auto& sessions = shard->find("sessions")->as_array();
   ASSERT_EQ(sessions.size(), 2u);
   std::set<double> tenants;
   for (const auto& s : sessions) {
@@ -566,15 +577,67 @@ TEST(ServeTracing, StatuszIsValidJsonWithLiveState) {
 
   ASSERT_NE(doc->find("latency"), nullptr);
   EXPECT_EQ(doc->find("latency")->find("count")->as_number(), 1.0);
+  ASSERT_NE(shard->find("latency"), nullptr);
+  EXPECT_EQ(shard->find("latency")->find("count")->as_number(), 1.0);
   ASSERT_NE(doc->find("flight"), nullptr);
   EXPECT_GT(doc->find("flight")->find("occupancy")->as_number(), 0.0);
-  ASSERT_NE(doc->find("trace"), nullptr);
-  EXPECT_GT(doc->find("trace")->find("spans")->as_number(), 0.0);
+  ASSERT_NE(shard->find("trace"), nullptr);
+  EXPECT_GT(shard->find("trace")->find("spans")->as_number(), 0.0);
   ASSERT_NE(doc->find("monitor"), nullptr);
   EXPECT_EQ(doc->find("monitor")->find("events")->as_number(), 1.0);
   const auto& recent = doc->find("monitor")->find("recent")->as_array();
   ASSERT_EQ(recent.size(), 1u);
   EXPECT_EQ(recent[0].find("detector")->as_string(), "ess_collapse");
+}
+
+// Regression: a session step that throws inside a batch must not leave
+// the batch's other sessions busy forever. The poisoned and the healthy
+// session share one batch; after the throw the healthy one has stepped,
+// and it closes, estimates and checkpoints without blocking, with nothing
+// left queued or in flight. With one worker the poisoned step runs on the
+// calling thread; with two, either thread may run it.
+TEST(ServeTracing, ThrowingStepReleasesEveryBatchSession) {
+  using ThrowingServer = serve::ServeCluster<ThrowingModel<float>>;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    auto server = std::make_unique<ThrowingServer>(one_shard(workers));
+    const auto poisoned =
+        server->open_session(ThrowingModel<float>{}, small_config(61));
+    const auto healthy =
+        server->open_session(ThrowingModel<float>{}, small_config(62));
+    ASSERT_TRUE(poisoned.ok() && healthy.ok());
+    const std::vector<float> poison{1e31f};
+    const std::vector<float> good{0.25f};
+    ASSERT_TRUE(server->submit(poisoned.id, poison, {}, 0.0).ok());
+    ASSERT_TRUE(server->submit(healthy.id, good, {}, 1.0).ok());
+    EXPECT_THROW(server->pump(), std::runtime_error) << "workers=" << workers;
+
+    // Bounded wait: a session left busy would block these calls forever.
+    auto released = std::async(std::launch::async, [&s = *server, &healthy] {
+      const bool stepped = s.step_index(healthy.id) == 1u;
+      const bool estimated = s.estimate(healthy.id).has_value();
+      const bool checkpointed = s.checkpoint(healthy.id).has_value();
+      return stepped && estimated && checkpointed &&
+             s.close_session(healthy.id);
+    });
+    if (released.wait_for(std::chrono::seconds(2)) !=
+        std::future_status::ready) {
+      ADD_FAILURE() << "healthy session still busy 2 s after the throw, "
+                    << "workers=" << workers;
+      // Leak the server and the blocked task rather than hang on teardown.
+      (void)server.release();
+      new auto(std::move(released));
+      return;
+    }
+    EXPECT_TRUE(released.get()) << "workers=" << workers;
+    EXPECT_EQ(server->queue_depth(), 0u);
+    std::ostringstream os;
+    server->write_statusz(os);
+    const auto doc = telemetry::json::parse(os.str());
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->find("shards")->as_array()[0].find("detail")->find(
+                  "batches_in_flight")->as_number(),
+              0.0);
+  }
 }
 
 // -------------------------------------------------------------- exemplars
