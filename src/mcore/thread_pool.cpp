@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 namespace esthera::mcore {
 
@@ -164,10 +165,14 @@ void ThreadPool::worker_loop(std::size_t worker, std::uint32_t seen_epoch) {
         // successful claim, and the scope closes before finish() lets the
         // caller return.
         profile::ShareScope profile_share(share_);
-        do {
-          execute(index, worker);
-          ++finished;
-        } while (claim(seen_epoch, worker, index));
+        try {
+          do {
+            execute(index, worker);
+            ++finished;
+          } while (claim(seen_epoch, worker, index));
+        } catch (...) {
+          finished += 1 + fail(seen_epoch, worker);
+        }
       }
       finish(finished);
     }
@@ -237,21 +242,36 @@ void ThreadPool::dispatch(std::size_t n, std::size_t chunk, Invoke invoke,
       ++taken;
     }
   } catch (...) {
-    // Withdraw the unclaimed rest and wait out the claims pool threads
-    // hold, so no thread still runs `fn` once the exception leaves run().
-    while (claim(epoch, 0, index)) ++taken;
-    complete(taken);
-    throw;
+    taken += fail(epoch, 0);
   }
   complete(taken);
 }
 
+std::size_t ThreadPool::fail(std::uint32_t epoch, std::size_t worker) {
+  if (!failed_.exchange(true, std::memory_order_relaxed)) {
+    error_ = std::current_exception();
+  }
+  std::size_t withdrawn = 0;
+  std::size_t index = 0;
+  while (claim(epoch, worker, index)) ++withdrawn;
+  return withdrawn;
+}
+
 void ThreadPool::complete(std::size_t taken) {
+  // Wait out the claims other threads hold, so no thread still runs `fn`
+  // (and every failing thread has stored its exception) once run() returns
+  // or throws.
   if (pending_.fetch_sub(static_cast<std::uint32_t>(taken),
                          std::memory_order_acq_rel) != taken) {
     wait_awake([&] { return pending_.load(std::memory_order_acquire) == 0; });
   }
+  std::exception_ptr error;
+  if (failed_.load(std::memory_order_relaxed)) {
+    error = std::exchange(error_, nullptr);
+    failed_.store(false, std::memory_order_relaxed);
+  }
   busy_.store(false, std::memory_order_release);
+  if (error) std::rethrow_exception(error);
 }
 
 namespace {

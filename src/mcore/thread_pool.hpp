@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <thread>
 #include <type_traits>
@@ -42,6 +43,11 @@ namespace esthera::mcore {
 /// bound (50 us) and sleep in std::atomic::wait, while the caller returns.
 /// Every claim is tagged with the job's epoch, so a thread that wakes late
 /// never claims, reads or runs a piece of a newer job.
+///
+/// Exceptions. If `fn` throws on any thread, the pool keeps the first
+/// exception, withdraws the claims nobody has taken yet, and rethrows it
+/// from run() once every claim already taken is finished; the pool stays
+/// usable. Indices of withdrawn claims never run.
 ///
 /// A worker count of 0 or 1 executes inline on the calling thread, which
 /// keeps single-core runs free of synchronization overhead. run() may be
@@ -125,6 +131,9 @@ class ThreadPool {
   [[nodiscard]] bool claim(std::uint32_t epoch, std::size_t worker,
                            std::size_t& index);
   void execute(std::size_t index, std::size_t worker) const;
+  /// Records the in-flight exception if it is the job's first, then takes
+  /// every claim of the job still open; returns how many it took.
+  std::size_t fail(std::uint32_t epoch, std::size_t worker);
   void finish(std::size_t claims);
   void complete(std::size_t taken);
 
@@ -168,6 +177,11 @@ class ThreadPool {
   std::atomic<bool> stop_{false};
   // Claims of the current job not yet finished; the caller waits on it.
   alignas(kLine) std::atomic<std::uint32_t> pending_{0};
+  // The job's first exception. Set once per job by the thread that wins
+  // `failed_`, before that thread finishes its claims; read and cleared
+  // by the caller after every claim is finished.
+  std::atomic<bool> failed_{false};
+  std::exception_ptr error_;
   // Held by the caller whose job is published.
   alignas(kLine) std::atomic<bool> busy_{false};
 

@@ -5,7 +5,14 @@
 // estimator / generator combination.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <memory>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/distributed_pf.hpp"
@@ -393,6 +400,79 @@ TEST(DistributedPf, NoExchangeSkipsExchangeStage) {
   u.assign(step.u.begin(), step.u.end());
   pf.step(z, u);
   EXPECT_EQ(pf.timers().seconds(core::Stage::kExchange), 0.0);
+}
+
+/// 1-d random walk whose log-likelihood throws on a poisoned observation,
+/// on pool threads only. The stepping thread holds its first poisoned call
+/// until a pool thread has thrown, so the throw is sure to start on a pool
+/// thread.
+class PoolThreadThrowingModel {
+ public:
+  using Scalar = float;
+  struct Shared {
+    std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> thrown{false};
+  };
+  std::shared_ptr<Shared> shared = std::make_shared<Shared>();
+
+  [[nodiscard]] std::size_t state_dim() const { return 1; }
+  [[nodiscard]] std::size_t measurement_dim() const { return 1; }
+  [[nodiscard]] std::size_t control_dim() const { return 0; }
+  [[nodiscard]] std::size_t noise_dim() const { return 1; }
+  [[nodiscard]] std::size_t init_noise_dim() const { return 1; }
+  [[nodiscard]] std::size_t measurement_noise_dim() const { return 1; }
+
+  void sample_initial(std::span<float> x, std::span<const float> normals) const {
+    x[0] = normals[0];
+  }
+  void sample_transition(std::span<const float> x_prev, std::span<float> x,
+                         std::span<const float> /*u*/,
+                         std::span<const float> normals,
+                         std::size_t /*step*/) const {
+    x[0] = 0.9f * x_prev[0] + 0.1f * normals[0];
+  }
+  void sample_measurement(std::span<const float> x, std::span<float> z,
+                          std::span<const float> normals) const {
+    z[0] = x[0] + 0.1f * normals[0];
+  }
+  [[nodiscard]] float log_likelihood(std::span<const float> x,
+                                     std::span<const float> z) const {
+    if (z[0] > 1e30f) {
+      if (std::this_thread::get_id() != shared->caller) {
+        shared->thrown.store(true);
+        throw std::runtime_error("poisoned observation");
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!shared->thrown.load() &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    }
+    const float e = z[0] - x[0];
+    return -50.0f * e * e;
+  }
+};
+
+TEST(DistributedPf, PoolThreadModelExceptionReachesStepCaller) {
+  // A model that throws inside a kernel running on a pool thread must
+  // surface as an exception from step(), not abort the process.
+  core::FilterConfig cfg;
+  cfg.particles_per_filter = 64;
+  cfg.num_filters = 64;
+  cfg.workers = 4;
+  cfg.seed = 5;
+  PoolThreadThrowingModel model;
+  const auto shared = model.shared;
+  core::DistributedParticleFilter<PoolThreadThrowingModel> pf(model, cfg);
+  const std::vector<float> good{0.25f};
+  pf.step(good);
+  const std::vector<float> poison{1e31f};
+  EXPECT_THROW(pf.step(poison), std::runtime_error);
+  EXPECT_TRUE(shared->thrown.load());
+  // The device stays usable after the failed launch.
+  pf.step(good);
+  EXPECT_TRUE(std::isfinite(pf.estimate()[0]));
 }
 
 }  // namespace

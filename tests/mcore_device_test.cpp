@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -310,6 +311,42 @@ TEST(ThreadPool, CallerExceptionPropagatesAfterPoolThreadsFinish) {
   std::atomic<int> hits{0};
   pool.run(10, [&](std::size_t, std::size_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 10);
+}
+
+TEST(ThreadPool, PoolThreadExceptionReachesCaller) {
+  // A throw on a pool thread, not the caller, must leave run() on the
+  // calling thread instead of terminating the process. The caller holds
+  // its first index until a pool thread has thrown, so the throw is sure
+  // to start off the caller.
+  mcore::ThreadPool pool(4);
+  std::atomic<bool> thrown{false};
+  std::atomic<int> running{0};
+  std::string what;
+  try {
+    pool.run(64, [&](std::size_t, std::size_t w) {
+      running.fetch_add(1);
+      if (w != 0 && !thrown.exchange(true)) {
+        running.fetch_sub(1);
+        throw std::runtime_error("pool thread failed");
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (w == 0 && !thrown.load() &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      running.fetch_sub(1);
+    });
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  EXPECT_TRUE(thrown.load());
+  EXPECT_EQ(what, "pool thread failed");
+  EXPECT_EQ(running.load(), 0);
+  // The failed job's exception does not leak into the next job.
+  std::atomic<int> hits{0};
+  pool.run(64, [&](std::size_t, std::size_t) { hits.fetch_add(1); });
+  EXPECT_EQ(hits.load(), 64);
 }
 
 TEST(Device, LaunchCoversAllGroups) {
