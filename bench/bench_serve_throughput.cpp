@@ -8,9 +8,14 @@
 // (serve.request.latency), the batch-size histogram, and the
 // serve.rejected.* counters via the standard telemetry snapshot.
 //
-// With --trace the workload runs twice: once untraced (trace_requests
-// off) and once traced, and the report carries both p50s plus their
-// ratio -- the measured cost of request tracing itself.
+// With --trace the report also carries trace_overhead_p50_ratio, the
+// measured cost of request tracing itself: a closed-loop run (every
+// session submits its next request, the server pumps until its queue is
+// empty) times each pump per request it ran, untraced (trace_requests
+// off) and traced, in five alternating pairs; the ratio is the median
+// over the pairs of traced / untraced median service time. No request
+// waits behind a burst of arrivals there, so queueing cannot masquerade
+// as tracing cost.
 //
 //   --sessions S     concurrent tracking sessions (default 8, --full 32)
 //   --requests K     observe() requests per session (default 100, --full 500)
@@ -37,6 +42,7 @@
 //                          (largest sweep point) to P
 //   --cluster-openmetrics P  dump the shard-labeled OpenMetrics exposition
 //                          (largest sweep point) to P
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <fstream>
@@ -87,32 +93,20 @@ struct Dumps {
   std::string flight, statusz, openmetrics;
 };
 
-// One open-loop run against a fresh cluster. Traffic is regenerated from
-// the same scenario seeds each call, so the traced and untraced runs and
-// every sweep point see identical request streams. Pumped from this
-// thread only; per-session trajectories stay deterministic, the measured
-// quantity is scheduling + stepping. Sessions record into `session_tel`
-// when given, and shard 0's serve.* telemetry is folded into it after the
-// run; `cluster_tel` receives the cluster.* catalogue.
-WorkloadResult run_workload(serve::ClusterConfig ccfg, std::size_t sessions,
-                            std::size_t requests, double rate,
-                            std::size_t spill_budget,
-                            telemetry::Telemetry* cluster_tel,
-                            telemetry::Telemetry* session_tel,
-                            const Dumps& dumps = {}) {
-  ccfg.telemetry = cluster_tel;
-  if (spill_budget > 0) {
-    ccfg.spill.budget_bytes = spill_budget;
-    // A spill budget without residency pressure never spills; cap the
-    // resident set so the LRU sweep has work to do.
-    ccfg.max_resident_sessions = std::max<std::size_t>(1, sessions * 3 / 4);
-  }
-  Cluster cluster(ccfg);
-
-  // Pre-generate each session's observation stream so the measured loop is
-  // submit + schedule + step, nothing else.
-  std::vector<SessionTraffic> traffic(sessions);
+struct Fleet {
   std::vector<Cluster::SessionId> ids;
+  std::vector<SessionTraffic> traffic;
+};
+
+// Opens `sessions` robot-arm sessions on `cluster` and pre-generates each
+// one's observation stream, so a measured loop is submit + schedule +
+// step, nothing else. Traffic comes from the same scenario seeds each
+// call, so every run sees identical request streams. Sessions record into
+// `session_tel` when given.
+Fleet open_fleet(Cluster& cluster, std::size_t sessions, std::size_t requests,
+                 telemetry::Telemetry* session_tel) {
+  Fleet fleet;
+  fleet.traffic.resize(sessions);
   for (std::size_t s = 0; s < sessions; ++s) {
     sim::RobotArmScenario scenario;
     scenario.reset(1000 + s);
@@ -130,15 +124,76 @@ WorkloadResult run_workload(serve::ClusterConfig ccfg, std::size_t sessions,
                 << '\n';
       std::exit(1);
     }
-    ids.push_back(opened.id);
-    traffic[s].z.reserve(requests);
-    traffic[s].u.reserve(requests);
+    fleet.ids.push_back(opened.id);
+    auto& traffic = fleet.traffic[s];
+    traffic.z.reserve(requests);
+    traffic.u.reserve(requests);
     for (std::size_t k = 0; k < requests; ++k) {
       const auto step = scenario.advance();
-      traffic[s].z.emplace_back(step.z.begin(), step.z.end());
-      traffic[s].u.emplace_back(step.u.begin(), step.u.end());
+      traffic.z.emplace_back(step.z.begin(), step.z.end());
+      traffic.u.emplace_back(step.u.begin(), step.u.end());
     }
   }
+  return fleet;
+}
+
+double median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  return *mid;
+}
+
+// Median per-request service time of one closed-loop run: each round every
+// session submits its next request and the server pumps until its queue is
+// empty; each pump's wall time is divided by the requests it ran.
+double service_p50(serve::ClusterConfig ccfg, std::size_t sessions,
+                   std::size_t requests, bool trace_requests) {
+  ccfg.shard.trace_requests = trace_requests;
+  telemetry::Telemetry session_tel;
+  Cluster cluster(ccfg);
+  const Fleet fleet = open_fleet(cluster, sessions, requests, &session_tel);
+  std::vector<double> per_request;
+  per_request.reserve(requests);
+  for (std::size_t k = 0; k < requests; ++k) {
+    const double at = static_cast<double>(k);
+    for (std::size_t s = 0; s < sessions; ++s) {
+      const auto& traffic = fleet.traffic[s];
+      (void)cluster.submit(fleet.ids[s], traffic.z[k], traffic.u[k], at, at);
+    }
+    while (cluster.queue_depth() > 0) {
+      const auto t0 = Clock::now();
+      const std::size_t ran = cluster.pump();
+      const double dt = std::chrono::duration<double>(Clock::now() - t0).count();
+      if (ran > 0) per_request.push_back(dt / static_cast<double>(ran));
+    }
+  }
+  cluster.drain();
+  return median(std::move(per_request));
+}
+
+// One open-loop run against a fresh cluster (traffic from open_fleet).
+// Pumped from this thread only; per-session trajectories stay
+// deterministic, the measured quantity is scheduling + stepping. Shard 0's
+// serve.* telemetry is folded into `session_tel` after the run;
+// `cluster_tel` receives the cluster.* catalogue.
+WorkloadResult run_workload(serve::ClusterConfig ccfg, std::size_t sessions,
+                            std::size_t requests, double rate,
+                            std::size_t spill_budget,
+                            telemetry::Telemetry* cluster_tel,
+                            telemetry::Telemetry* session_tel,
+                            const Dumps& dumps = {}) {
+  ccfg.telemetry = cluster_tel;
+  if (spill_budget > 0) {
+    ccfg.spill.budget_bytes = spill_budget;
+    // A spill budget without residency pressure never spills; cap the
+    // resident set so the LRU sweep has work to do.
+    ccfg.max_resident_sessions = std::max<std::size_t>(1, sessions * 3 / 4);
+  }
+  Cluster cluster(ccfg);
+  const Fleet fleet = open_fleet(cluster, sessions, requests, session_tel);
+  const auto& ids = fleet.ids;
+  const auto& traffic = fleet.traffic;
 
   // Open-loop schedule: request k of session s arrives at global index
   // k*sessions + s, spaced 1/rate seconds apart (all at t=0 when
@@ -276,16 +331,23 @@ int main(int argc, char** argv) {
     return report.write();
   }
 
-  // Tracing-overhead reference: when a trace export was requested, first
-  // run the identical workload untraced against scratch telemetry. Same
-  // traffic, same admission bounds; only request tracing differs.
-  double p50_untraced = 0.0;
+  // Tracing overhead, when a trace export was requested: closed-loop
+  // service time untraced vs traced, in alternating pairs (the order flips
+  // every pair, so a drifting host load favours neither side). Same
+  // traffic and admission bounds; only request tracing differs.
+  constexpr int kOverheadPairs = 5;
+  std::vector<double> untraced_p50s, traced_p50s, ratios;
   if (cli.has("--trace")) {
-    telemetry::Telemetry scratch;
-    serve::ClusterConfig untraced = ccfg;
-    untraced.shard.trace_requests = false;
-    p50_untraced =
-        run_workload(untraced, sessions, requests, rate, 0, nullptr, &scratch).p50;
+    for (int pair = 0; pair < kOverheadPairs; ++pair) {
+      double untraced = 0.0, traced = 0.0;
+      for (const bool traced_run : {pair % 2 == 1, pair % 2 == 0}) {
+        const double p50 = service_p50(ccfg, sessions, requests, traced_run);
+        (traced_run ? traced : untraced) = p50;
+      }
+      untraced_p50s.push_back(untraced);
+      traced_p50s.push_back(traced);
+      ratios.push_back(untraced > 0.0 ? traced / untraced : 0.0);
+    }
   }
 
   Dumps dumps;
@@ -305,10 +367,9 @@ int main(int argc, char** argv) {
   report.add_value("wall_seconds", r.wall);
   report.add_value("throughput_hz", throughput);
   if (cli.has("--trace")) {
-    report.add_value("latency_p50_untraced", p50_untraced);
-    report.add_value("latency_p50_traced", r.p50);
-    report.add_value("trace_overhead_p50_ratio",
-                     p50_untraced > 0.0 ? r.p50 / p50_untraced : 0.0);
+    report.add_value("service_p50_untraced", median(untraced_p50s));
+    report.add_value("service_p50_traced", median(traced_p50s));
+    report.add_value("trace_overhead_p50_ratio", median(ratios));
   }
 
   bench_util::Table table({"quantity", "value"});
