@@ -31,8 +31,8 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/instruments.hpp"
 #include "core/particle_store.hpp"
-#include "core/stage_timers.hpp"
 #include "device/device.hpp"
 #include "models/model.hpp"
 #include "prng/mtgp_stream.hpp"
@@ -103,7 +103,7 @@ class BaselineDistributedFilter {
 
   [[nodiscard]] std::span<const T> estimate() const { return estimate_; }
   [[nodiscard]] std::size_t particle_count() const { return n_total_; }
-  [[nodiscard]] StageTimers& timers() { return timers_; }
+  [[nodiscard]] StageTimers& timers() { return ins_.timers(); }
   [[nodiscard]] BaselineKind kind() const { return opts_.kind; }
 
   void initialize() {
@@ -122,11 +122,11 @@ class BaselineDistributedFilter {
 
   void step(std::span<const T> z, std::span<const T> u = {}) {
     {
-      ScopedStageTimer timer(timers_, Stage::kRand);
+      auto probe = ins_.probe(Stage::kRand);
       stream_.fill(dev_->pool(), rand_);
     }
     {
-      ScopedStageTimer timer(timers_, Stage::kSampling);
+      auto probe = ins_.probe(Stage::kSampling);
       const std::size_t nd = model_.noise_dim();
       dev_->launch(n_filters_, [&](std::size_t g) {
         const auto normals = rand_.group_normals(g);
@@ -140,11 +140,11 @@ class BaselineDistributedFilter {
       cur_.swap(aux_);
     }
     {
-      ScopedStageTimer timer(timers_, Stage::kGlobalEstimate);
+      auto probe = ins_.probe(Stage::kGlobalEstimate);
       update_estimate();
     }
     {
-      ScopedStageTimer timer(timers_, Stage::kResampling);
+      auto probe = ins_.probe(Stage::kResampling);
       switch (opts_.kind) {
         case BaselineKind::kGdpf: resample_central(); break;
         case BaselineKind::kCdpf: resample_compressed(); break;
@@ -307,7 +307,7 @@ class BaselineDistributedFilter {
   std::vector<T> cumsum_;
   std::vector<std::uint32_t> indices_;
   std::vector<T> estimate_;
-  StageTimers timers_;
+  FilterInstruments ins_;
   std::size_t step_ = 0;
 };
 

@@ -9,10 +9,16 @@
 // p50/p95/p99 for free. fraction() and breakdown_string() are well-defined
 // on a fresh or reset() timer (total() == 0): every fraction is 0 and the
 // breakdown says so instead of printing six baseless 0.0% bars.
+//
+// A filter's StageTimers lives in its core::FilterInstruments
+// (instruments.hpp) and is fed by one StageProbe per stage per step; the
+// same probe records the same duration into the registry's stage.<key>
+// histogram when telemetry is attached. The timers are the filter's own
+// and work without telemetry; the registry histograms aggregate over every
+// filter sharing one Telemetry.
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstddef>
 #include <string>
 
@@ -79,35 +85,6 @@ class StageTimers {
 
  private:
   std::array<telemetry::LatencyHistogram, kStageCount> histograms_{};
-};
-
-/// RAII timer adding its scope's duration to a stage; optionally mirrors
-/// the sample into a registry histogram (the filters pass their cached
-/// "stage.<key>" histogram when telemetry is attached, nullptr otherwise).
-class ScopedStageTimer {
- public:
-  ScopedStageTimer(StageTimers& timers, Stage stage,
-                   telemetry::LatencyHistogram* mirror = nullptr)
-      : timers_(timers),
-        stage_(stage),
-        mirror_(mirror),
-        start_(std::chrono::steady_clock::now()) {}
-
-  ~ScopedStageTimer() {
-    const auto end = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(end - start_).count();
-    timers_.add(stage_, seconds);
-    if (mirror_) mirror_->record(seconds);
-  }
-
-  ScopedStageTimer(const ScopedStageTimer&) = delete;
-  ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
-
- private:
-  StageTimers& timers_;
-  Stage stage_;
-  telemetry::LatencyHistogram* mirror_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace esthera::core

@@ -9,7 +9,7 @@
 #include "bench_util/table.hpp"
 #include "core/config.hpp"
 #include "core/particle_store.hpp"
-#include "core/stage_timers.hpp"
+#include "core/instruments.hpp"
 
 namespace {
 
@@ -269,15 +269,17 @@ TEST(StageTimers, NamesAndBreakdown) {
 }
 
 TEST(StageTimers, ScopedTimerAddsElapsed) {
-  core::StageTimers timers;
+  // A stage probe feeds the filter's timers with no telemetry attached.
+  core::FilterInstruments instruments;
   {
-    core::ScopedStageTimer t(timers, core::Stage::kLocalSort);
+    auto probe = instruments.probe(core::Stage::kLocalSort);
     // Work the optimizer cannot elide (result feeds an assertion).
     double sink = 0.0;
     for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
     EXPECT_GT(sink, 0.0);
   }
-  EXPECT_GT(timers.seconds(core::Stage::kLocalSort), 0.0);
+  EXPECT_GT(instruments.timers().seconds(core::Stage::kLocalSort), 0.0);
+  EXPECT_EQ(instruments.timers().launches(core::Stage::kLocalSort), 1u);
 }
 
 }  // namespace
