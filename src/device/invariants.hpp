@@ -224,8 +224,8 @@ void check_weight_bound(std::span<const T> weights, T w_max, std::size_t group,
 /// Owned by a filter when checking is enabled. Stateless checks forward to
 /// the free functions above; the stateful part tracks RandomBuffer
 /// consumption high-water marks against the sized budgets and collects
-/// violations recorded from inside device kernels (where throwing would
-/// kill a worker thread) for a deferred host-side throw.
+/// violations recorded from inside device kernels (where a throw would
+/// abandon the rest of the launch) for a deferred host-side throw.
 class InvariantChecker {
  public:
   /// `normals_budget` / `uniforms_budget`: the per-group RandomBuffer

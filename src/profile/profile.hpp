@@ -3,11 +3,12 @@
 // group per sampling thread (cycles, instructions, cache-references,
 // cache-misses, branch-misses) plus an always-available software
 // task-clock (CLOCK_THREAD_CPUTIME_ID), and named StageAccum accumulators
-// that scopes fold begin/end deltas into. The filters wrap each kernel
-// stage in a profile::Scope, so every stage span accrues hardware deltas
-// alongside its wall-clock histogram sample; the ThreadPool captures the
-// dispatching thread's active scope and mirrors it onto its pool threads,
-// so worker-side cycles land in the same accumulator as the host side.
+// that scopes fold begin/end deltas into. Each filter stage's
+// core::StageProbe opens a profile::Scope on the stage's accumulator, so
+// every stage accrues hardware deltas alongside its wall-clock histogram
+// sample; the ThreadPool captures the dispatching thread's active scope
+// and mirrors it onto its pool threads, so worker-side cycles land in the
+// same accumulator as the host side.
 //
 // Graceful degradation is the contract: when perf_event_open is denied
 // (containers, perf_event_paranoid, non-Linux builds), the profiler falls
