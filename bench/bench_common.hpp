@@ -21,7 +21,6 @@
 #include "bench_util/table.hpp"
 #include "core/centralized_pf.hpp"
 #include "core/distributed_pf.hpp"
-#include "device/backend.hpp"
 #include "device/invariants.hpp"
 #include "device/platform.hpp"
 #include "estimation/metrics.hpp"
@@ -43,8 +42,7 @@ inline std::vector<std::string> standard_flags(std::vector<std::string> extras =
   std::vector<std::string> flags = {"--full",         "--json",
                                     "--trace",        "--series-jsonl",
                                     "--series-csv",   "--telemetry",
-                                    "--workers",      "--backend",
-                                    "--openmetrics"};
+                                    "--workers",      "--openmetrics"};
   flags.insert(flags.end(), extras.begin(), extras.end());
   return flags;
 }
@@ -73,26 +71,6 @@ inline void apply_workers_flag(const bench_util::Cli& cli) {
     std::exit(2);
   }
   mcore::ThreadPool::set_default_worker_count(static_cast<std::size_t>(parsed));
-}
-
-/// Applies the --backend override: takes precedence over ESTHERA_BACKEND,
-/// same grammar (exactly "scalar" or "simd") -- but a flag typo exits 2
-/// instead of silently falling back the way a malformed environment
-/// variable does. The resolved backend lands in the report's "build"
-/// stamp. The Report constructor calls this, so Report-owning benches get
-/// it for free; every FilterConfig/CentralizedOptions left at
-/// Backend::kAuto then resolves to the override.
-inline void apply_backend_flag(const bench_util::Cli& cli) {
-  if (!cli.has("--backend")) return;
-  const std::string v = cli.get("--backend", "");
-  try {
-    // "auto" clears the override, re-exposing ESTHERA_BACKEND.
-    device::set_default_backend(device::parse_backend(v));
-  } catch (const std::invalid_argument&) {
-    std::cerr << "error: --backend expects 'scalar', 'simd' or 'auto', got '"
-              << v << "'\n";
-    std::exit(2);
-  }
 }
 
 /// The flags Protocol::from_cli reads, plus bench-specific extras; nest
@@ -280,9 +258,6 @@ inline void fold_telemetry(const telemetry::Telemetry& from,
 ///                          and counters still accumulate)
 ///   --workers N            worker-thread override (precedence over
 ///                          ESTHERA_WORKERS; recorded in the build stamp)
-///   --backend B            device-backend override: scalar | simd | auto
-///                          (precedence over ESTHERA_BACKEND; recorded in
-///                          the build stamp; bit-identical by contract)
 /// Telemetry is attached when any flag above is present, or by default in
 /// -DESTHERA_TELEMETRY builds; telemetry() returns null otherwise, so the
 /// filters keep their zero-cost path.
@@ -298,7 +273,6 @@ class Report {
         csv_path_(cli.get("--series-csv", "")),
         openmetrics_path_(cli.get("--openmetrics", "")) {
     apply_workers_flag(cli);
-    apply_backend_flag(cli);
     if (telemetry::kTelemetryBuild || cli.has("--telemetry") ||
         !json_path_.empty() || !trace_path_.empty() || !jsonl_path_.empty() ||
         !csv_path_.empty() || !openmetrics_path_.empty()) {
@@ -436,7 +410,6 @@ class Report {
     w.kv("telemetry_build", telemetry::kTelemetryBuild);
     w.kv("workers",
          static_cast<std::uint64_t>(mcore::ThreadPool::default_worker_count()));
-    w.kv("backend", device::to_string(device::default_backend()));
     if (telemetry_) {
       // Counter source for the profile.* gauges in this snapshot; strings,
       // so bench_compare's exact-match gate (build_type/checked/

@@ -4,10 +4,10 @@
 // figure-level harnesses with per-kernel numbers.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
-#include "device/backend.hpp"
 #include "mcore/thread_pool.hpp"
 #include "models/robot_arm.hpp"
 #include "profile/profile.hpp"
@@ -62,15 +62,23 @@ void annotate_hw_counters(benchmark::State& state,
   }
 }
 
+/// Distinct random inputs the sort benchmarks rotate through, so the
+/// branch predictor cannot learn one input's compare-exchange outcomes
+/// (perfbench's lane_ops_ns probe rotates the same way).
+constexpr std::size_t kSortInputs = 1024;
+
 void BM_BitonicSort(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto input = random_floats(n, -1.0f, 1.0f);
+  const auto inputs = random_floats(n * kSortInputs, -1.0f, 1.0f);
   std::vector<float> keys(n);
+  std::size_t k = 0;
   const profile::Sample prof_begin = shared_profiler().sample();
   for (auto _ : state) {
-    keys = input;
+    std::copy_n(inputs.begin() + static_cast<std::ptrdiff_t>(k * n), n, keys.begin());
+    k = (k + 1) % kSortInputs;
     sortnet::bitonic_sort(std::span<float>(keys));
     benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   annotate_hw_counters(state, prof_begin);
@@ -79,14 +87,18 @@ BENCHMARK(BM_BitonicSort)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_BitonicSortByKey(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto input = random_floats(n, -1.0f, 1.0f);
+  const auto inputs = random_floats(n * kSortInputs, -1.0f, 1.0f);
   std::vector<float> keys(n);
   std::vector<std::uint32_t> idx(n);
+  std::size_t k = 0;
   for (auto _ : state) {
-    keys = input;
+    std::copy_n(inputs.begin() + static_cast<std::ptrdiff_t>(k * n), n, keys.begin());
+    k = (k + 1) % kSortInputs;
     for (std::size_t i = 0; i < n; ++i) idx[i] = static_cast<std::uint32_t>(i);
     sortnet::bitonic_sort_by_key(std::span<float>(keys), std::span<std::uint32_t>(idx));
+    benchmark::DoNotOptimize(keys.data());
     benchmark::DoNotOptimize(idx.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
@@ -212,92 +224,6 @@ void BM_StreamFill(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamFill<prng::Generator::kMtgp>)->Arg(8)->Arg(64);
 BENCHMARK(BM_StreamFill<prng::Generator::kPhilox>)->Arg(8)->Arg(64);
-
-// Backend comparison table: the same lane-batched phase kernel under the
-// scalar reference and the SIMD backend. Run with --benchmark_filter=Backend
-// to get the per-kernel speedup table (the two are bit-identical by
-// contract, so the delta is pure throughput).
-template <device::Backend B>
-void BM_BackendSortPairs(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& ops = device::lane_ops<float>(B);
-  const auto input = random_floats(n, -1.0f, 1.0f);
-  std::vector<float> keys(n);
-  std::vector<std::uint32_t> idx(n);
-  for (auto _ : state) {
-    keys = input;
-    for (std::size_t i = 0; i < n; ++i) idx[i] = static_cast<std::uint32_t>(i);
-    ops.sort_pairs_desc(keys, idx, nullptr);
-    benchmark::DoNotOptimize(idx.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BackendSortPairs<device::Backend::kScalar>)->Arg(64)->Arg(512)->Arg(4096);
-BENCHMARK(BM_BackendSortPairs<device::Backend::kSimd>)->Arg(64)->Arg(512)->Arg(4096);
-
-template <device::Backend B>
-void BM_BackendScan(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& ops = device::lane_ops<float>(B);
-  const auto input = random_floats(n, 0.0f, 1.0f);
-  std::vector<float> data(n);
-  for (auto _ : state) {
-    data = input;
-    benchmark::DoNotOptimize(ops.exclusive_scan(std::span<float>(data), nullptr));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BackendScan<device::Backend::kScalar>)->Arg(512)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_BackendScan<device::Backend::kSimd>)->Arg(512)->Arg(4096)->Arg(65536);
-
-template <device::Backend B>
-void BM_BackendWeigh(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& ops = device::lane_ops<float>(B);
-  const auto lw = random_floats(n, -2.0f, 0.0f);
-  const auto ll = random_floats(n, -2.0f, 0.0f);
-  std::vector<float> out(n);
-  for (auto _ : state) {
-    ops.weigh(lw, ll, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BackendWeigh<device::Backend::kScalar>)->Arg(512)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_BackendWeigh<device::Backend::kSimd>)->Arg(512)->Arg(4096)->Arg(65536);
-
-template <device::Backend B>
-void BM_BackendNormalFill(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& ops = device::lane_ops<float>(B);
-  const auto draws = random_floats(n, 1e-6f, 0.999999f);
-  std::vector<float> out(n);
-  for (auto _ : state) {
-    ops.normal_fill(draws, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BackendNormalFill<device::Backend::kScalar>)->Arg(512)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_BackendNormalFill<device::Backend::kSimd>)->Arg(512)->Arg(4096)->Arg(65536);
-
-template <device::Backend B>
-void BM_BackendStreamFill(benchmark::State& state) {
-  const auto groups = static_cast<std::size_t>(state.range(0));
-  mcore::ThreadPool pool(1);
-  prng::MtgpStream stream(groups, 42, prng::Generator::kMtgp);
-  prng::RandomBuffer<float> buf;
-  buf.resize(groups, 512 * 9, 2 * 512 + 1);
-  for (auto _ : state) {
-    stream.fill(pool, buf, B);
-    benchmark::DoNotOptimize(buf.normals.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(buf.normals.size() +
-                                                    buf.uniforms.size()));
-}
-BENCHMARK(BM_BackendStreamFill<device::Backend::kScalar>)->Arg(8)->Arg(64);
-BENCHMARK(BM_BackendStreamFill<device::Backend::kSimd>)->Arg(8)->Arg(64);
 
 void BM_ArmTransition(benchmark::State& state) {
   const auto joints = static_cast<std::size_t>(state.range(0));

@@ -40,13 +40,6 @@ struct CentralizedOptions {
   EstimatorKind estimator = EstimatorKind::kMaxWeight;
   std::uint64_t seed = 42;
 
-  /// Lane-execution backend for the batched kernels the sequential filter
-  /// shares with the device path (weighting, scan sweeps inside the
-  /// cumulative-weight resamplers). Same semantics as
-  /// FilterConfig::backend: kAuto resolves at construction, every backend
-  /// is bit-identical to the scalar reference.
-  device::Backend backend = device::Backend::kAuto;
-
   /// Chain length B of the Metropolis resampler (same semantics as
   /// FilterConfig::metropolis_steps); 0 picks
   /// resample::metropolis_default_steps(n).
@@ -111,8 +104,7 @@ class CentralizedParticleFilter {
         noise_(std::max(model_.noise_dim(), model_.init_noise_dim())),
         loglik_(n_particles),
         estimate_(model_.state_dim(), T(0)),
-        backend_(device::resolve_backend(options.backend)),
-        ops_(&device::lane_ops<T>(backend_)),
+        ops_(&device::lane_ops<T>()),
         ins_(options.telemetry, n_particles) {
     assert(n_ > 0);
     mon_ = opts_.monitor;
@@ -166,9 +158,8 @@ class CentralizedParticleFilter {
         }
         loglik_[i] = loglik;
       }
-      // Weighting as one batched lane op over the contiguous log-weight and
-      // log-likelihood arrays (element-independent adds: bit-identical on
-      // every backend, stride-friendly on the SIMD one).
+      // Weighting as one lane op over the contiguous log-weight and
+      // log-likelihood arrays.
       ops_->weigh(std::span<const T>(cur_.log_weights()),
                   std::span<const T>(loglik_), aux_.log_weights());
       note_rng(draws);
@@ -463,7 +454,6 @@ class CentralizedParticleFilter {
   std::vector<T> noise_;
   std::vector<T> loglik_;  // per-particle log-likelihood scratch (weighting)
   std::vector<T> estimate_;
-  device::Backend backend_;
   const device::LaneOps<T>* ops_;
   resample::AliasTable<T> alias_;
   std::vector<T> prev_;  // x_{k-1} copy for the resample-move step

@@ -131,7 +131,7 @@ class DistributedParticleFilter {
 
   /// Re-draws the initial particle population from the model's prior.
   void initialize() {
-    stream_.fill(dev_->pool(), rand_, backend_);
+    stream_.fill(dev_->pool(), rand_);
     const std::size_t ind = model_.init_noise_dim();
     dev_->launch(n_filters_, [&](std::size_t g) {
       const auto normals = rand_.group_normals(g);
@@ -270,8 +270,7 @@ class DistributedParticleFilter {
         group_wsum_(n_filters_),
         group_wstate_(n_filters_ * dim_),
         estimate_(dim_, T(0)),
-        backend_(device::resolve_backend(cfg_.backend)),
-        ops_(&device::lane_ops<T>(backend_)) {
+        ops_(&device::lane_ops<T>()) {
     cfg_.validate();
     // Normals per group: enough for one transition (or initial) draw per
     // particle, plus one jitter vector per particle when roughening is on.
@@ -371,7 +370,7 @@ class DistributedParticleFilter {
     // The PRNG fill goes straight to the pool rather than through launch();
     // the probe gives it its own kernel span.
     auto probe = ins_.probe(Stage::kRand, "prng", n_filters_, step_, span_ctx_);
-    stream_.fill(dev_->pool(), rand_, backend_);
+    stream_.fill(dev_->pool(), rand_);
     const WorkCounters& work = ins_.work();
     if (work.barriers) work.barriers->add(1);  // the fill is a launch, too
     if (work.rng_draws) {
@@ -397,7 +396,7 @@ class DistributedParticleFilter {
         ll[p] = model_.log_likelihood(aux_.state(i), z);
       }
       // The weighting update w' = w * p(z|x) is a lock-step phase over the
-      // group's lanes; the backend batches it.
+      // group's lanes.
       ops_->weigh(std::span<const T>(cur_.log_weights(base, m_)), ll,
                   aux_.log_weights(base, m_));
     });
@@ -796,10 +795,10 @@ class DistributedParticleFilter {
     auto& series = ins_.telemetry()->series;
     DeviceStep report;
     double entropy_sum = 0.0;
+    series.record_groups(step_, "ess", group_ess_);
+    series.record_groups(step_, "unique_parent", group_unique_);
+    series.record_groups(step_, "entropy", group_entropy_);
     for (std::size_t g = 0; g < n_filters_; ++g) {
-      series.record_group(step_, "ess", g, group_ess_[g]);
-      series.record_group(step_, "unique_parent", g, group_unique_[g]);
-      series.record_group(step_, "entropy", g, group_entropy_[g]);
       report.degenerate_groups += group_degenerate_[g];
       report.skipped_groups += resampled_flags_[g] ? 0 : 1;
       entropy_sum += group_entropy_[g];
@@ -923,7 +922,6 @@ class DistributedParticleFilter {
   std::vector<std::uint32_t> pool_top_;
   std::vector<std::uint32_t> pool_order_;
   std::vector<T> estimate_;
-  device::Backend backend_;            // resolved (never kAuto)
   const device::LaneOps<T>* ops_;      // lane-batched phase kernels
   std::unique_ptr<debug::InvariantChecker> checker_;
   std::unique_ptr<debug::CheckedDevice> checked_dev_;

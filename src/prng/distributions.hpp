@@ -81,32 +81,6 @@ inline void box_muller_fill(std::span<const T> draws, std::span<T> out) {
   }
 }
 
-/// Lane-batched variant of box_muller_fill: identical draw pairing over a
-/// pre-staged contiguous draw array, evaluated pair-at-a-time with no
-/// interleaved generator stepping. The transform calls the same scalar
-/// libm routines (no fast-math relaxation, no vector-math substitution),
-/// so outputs stay bit-identical to the scalar fill; a `#pragma omp simd`
-/// here measures *slower* because the transcendental calls serialize the
-/// lanes anyway, so the batching win is the staging itself (generator
-/// stepping decoupled from the transform's load/store stream).
-template <typename T>
-inline void box_muller_fill_simd(std::span<const T> draws, std::span<T> out) {
-  const std::size_t pairs = out.size() / 2;
-  assert(draws.size() >= 2 * ((out.size() + 1) / 2));
-  const T* const d = draws.data();
-  T* const o = out.data();
-  for (std::size_t p = 0; p < pairs; ++p) {
-    const auto [z0, z1] = box_muller(d[2 * p + 1], d[2 * p]);
-    o[2 * p] = z0;
-    o[2 * p + 1] = z1;
-  }
-  if (out.size() % 2 == 1) {
-    const auto [z0, z1] = box_muller(d[out.size()], d[out.size() - 1]);
-    o[out.size() - 1] = z0;
-    (void)z1;
-  }
-}
-
 /// Stateful N(0,1) source over any 32-bit generator; caches the second
 /// Box-Muller output so no variate is wasted.
 template <typename T, typename Gen>

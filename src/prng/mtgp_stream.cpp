@@ -18,56 +18,31 @@ MtgpStream::MtgpStream(std::size_t groups, std::uint64_t seed, Generator generat
   }
 }
 
-template <>
-std::vector<float>& MtgpStream::stage_vec<float>() { return stage_f_; }
-template <>
-std::vector<double>& MtgpStream::stage_vec<double>() { return stage_d_; }
-
 template <typename T>
-void MtgpStream::fill_impl(mcore::ThreadPool& pool, RandomBuffer<T>& buf,
-                           device::Backend backend) {
+void MtgpStream::fill_impl(mcore::ThreadPool& pool, RandomBuffer<T>& buf) {
   const std::uint64_t round = round_++;
-  const device::Backend resolved = device::resolve_backend(backend);
-  const auto& ops = device::lane_ops<T>(resolved);
-  // Draw budget of the normals section: pairwise Box-Muller, odd counts
-  // still consume a full pair (the paper's PRNG kernel generates a fixed
-  // grid). Both paths draw exactly this many uniforms before the uniforms
-  // section, so the sequences are bit-identical across backends.
-  const std::size_t pair_draws = 2 * ((buf.normals_per_group + 1) / 2);
-  std::span<T> stage;
-  if (resolved == device::Backend::kSimd) {
-    auto& vec = stage_vec<T>();
-    vec.resize(buf.groups * pair_draws);
-    stage = vec;
-  }
   pool.run(buf.groups, [&](std::size_t g, std::size_t /*worker*/) {
     auto normals = buf.group_normals(g);
     auto uniforms = buf.group_uniforms(g);
     auto fill_from = [&](auto& gen) {
-      if (resolved == device::Backend::kSimd) {
-        // Stage the raw draws in generator order, then batch-transform.
-        auto draws = stage.subspan(g * pair_draws, pair_draws);
-        for (auto& v : draws) v = uniform01<T>(gen);
-        ops.normal_fill(draws, normals);
-      } else {
-        // Normals pairwise via Box-Muller. Draw order pinned per
-        // box_muller_fill's contract: first draw = angle input u2, second
-        // = radius input u1 (historically GCC's right-to-left argument
-        // evaluation of box_muller(uniform01(gen), uniform01(gen))).
-        for (std::size_t i = 0; i + 1 < normals.size(); i += 2) {
-          const T u2 = uniform01<T>(gen);
-          const T u1 = uniform01<T>(gen);
-          const auto [z0, z1] = box_muller(u1, u2);
-          normals[i] = z0;
-          normals[i + 1] = z1;
-        }
-        if (normals.size() % 2 == 1) {
-          const T u2 = uniform01<T>(gen);
-          const T u1 = uniform01<T>(gen);
-          const auto [z0, z1] = box_muller(u1, u2);
-          normals[normals.size() - 1] = z0;
-          (void)z1;
-        }
+      // Normals pairwise via Box-Muller; odd counts still consume a full
+      // pair (the paper's PRNG kernel generates a fixed grid). Draw order
+      // pinned per box_muller_fill's contract: first draw = angle input
+      // u2, second = radius input u1 (historically GCC's right-to-left
+      // argument evaluation of box_muller(uniform01(gen), uniform01(gen))).
+      for (std::size_t i = 0; i + 1 < normals.size(); i += 2) {
+        const T u2 = uniform01<T>(gen);
+        const T u1 = uniform01<T>(gen);
+        const auto [z0, z1] = box_muller(u1, u2);
+        normals[i] = z0;
+        normals[i + 1] = z1;
+      }
+      if (normals.size() % 2 == 1) {
+        const T u2 = uniform01<T>(gen);
+        const T u1 = uniform01<T>(gen);
+        const auto [z0, z1] = box_muller(u1, u2);
+        normals[normals.size() - 1] = z0;
+        (void)z1;
       }
       for (auto& u : uniforms) u = uniform01<T>(gen);
     };
@@ -80,14 +55,12 @@ void MtgpStream::fill_impl(mcore::ThreadPool& pool, RandomBuffer<T>& buf,
   });
 }
 
-void MtgpStream::fill(mcore::ThreadPool& pool, RandomBuffer<float>& buf,
-                      device::Backend backend) {
-  fill_impl(pool, buf, backend);
+void MtgpStream::fill(mcore::ThreadPool& pool, RandomBuffer<float>& buf) {
+  fill_impl(pool, buf);
 }
 
-void MtgpStream::fill(mcore::ThreadPool& pool, RandomBuffer<double>& buf,
-                      device::Backend backend) {
-  fill_impl(pool, buf, backend);
+void MtgpStream::fill(mcore::ThreadPool& pool, RandomBuffer<double>& buf) {
+  fill_impl(pool, buf);
 }
 
 MtgpStreamState MtgpStream::save_state() const {

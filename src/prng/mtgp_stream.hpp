@@ -16,7 +16,6 @@
 #include <span>
 #include <vector>
 
-#include "device/backend.hpp"
 #include "mcore/thread_pool.hpp"
 #include "prng/distributions.hpp"
 #include "prng/mt19937.hpp"
@@ -88,15 +87,10 @@ class MtgpStream {
   [[nodiscard]] Generator generator() const noexcept { return generator_; }
 
   /// Fills `buf` with N(0,1) normals and U(0,1) uniforms for every group,
-  /// distributing groups over `pool`. `backend` selects how each group's
-  /// Box-Muller transform runs (scalar lane-by-lane, or staged draws fed to
-  /// the lane-batched fill); the draw order and outputs are bit-identical
-  /// either way - see prng::box_muller_fill. kAuto resolves to the process
-  /// default.
-  void fill(mcore::ThreadPool& pool, RandomBuffer<float>& buf,
-            device::Backend backend = device::Backend::kScalar);
-  void fill(mcore::ThreadPool& pool, RandomBuffer<double>& buf,
-            device::Backend backend = device::Backend::kScalar);
+  /// distributing groups over `pool`. Each group's normals use the draw
+  /// pairing of prng::box_muller_fill.
+  void fill(mcore::ThreadPool& pool, RandomBuffer<float>& buf);
+  void fill(mcore::ThreadPool& pool, RandomBuffer<double>& buf);
 
   /// Captures the full stream position (checkpointing); restoring the
   /// snapshot into a stream constructed with the same group count and
@@ -110,21 +104,13 @@ class MtgpStream {
 
  private:
   template <typename T>
-  void fill_impl(mcore::ThreadPool& pool, RandomBuffer<T>& buf,
-                 device::Backend backend);
-
-  template <typename T>
-  [[nodiscard]] std::vector<T>& stage_vec();
+  void fill_impl(mcore::ThreadPool& pool, RandomBuffer<T>& buf);
 
   Generator generator_;
   std::uint64_t seed_ = 0;
   std::vector<Mt19937> mt_;       // kMtgp: one state per group
   std::size_t philox_streams_ = 0;  // kPhilox: stateless, counts rounds
   std::uint64_t round_ = 0;
-  // Per-group staging area for the batched Box-Muller path: the raw U(0,1)
-  // draws in generator order, reused across rounds (empty under scalar).
-  std::vector<float> stage_f_;
-  std::vector<double> stage_d_;
 };
 
 }  // namespace esthera::prng

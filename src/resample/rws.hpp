@@ -16,7 +16,7 @@ namespace esthera::resample {
 
 /// Exclusive-scan kernel signature shared with device::LaneOps: the
 /// cumulative-weight builds below accept one so the scan inside a resampler
-/// runs on the caller's device backend (scalar reference or lane-batched).
+/// is the filter's own lane kernel.
 template <typename T>
 using ScanFn = T (*)(std::span<T>, sortnet::NetCounters*);
 

@@ -88,83 +88,6 @@ void bitonic_sort_by_key(std::span<K> keys, std::span<I> idx, Compare cmp = {},
   }
 }
 
-/// Lane-batched bitonic sort: the identical (k, j) schedule as bitonic_sort,
-/// but each phase's compare-exchange lanes run as a branchless `#pragma omp
-/// simd` loop. Within a phase the pair set {(i, i^j) : (i & j) == 0} is
-/// exactly the set of (base + o, base + o + j) pairs over 2j-aligned blocks,
-/// and the direction bit (i & k) is constant per block (2j <= k), so it
-/// hoists out of the inner loop. Selects replace the swap branch; the
-/// per-pair decision `cmp(hi, lo) == ascending` is unchanged (including for
-/// NaN keys, where cmp is false either way), so results and NetCounters
-/// tallies are bit-identical to the scalar reference.
-template <typename K, typename Compare = std::less<K>>
-void bitonic_sort_simd(std::span<K> keys, Compare cmp = {},
-                       NetCounters* nc = nullptr) {
-  const std::size_t n = keys.size();
-  if (n <= 1) return;
-  assert(is_pow2(n) && "bitonic_sort_simd requires a power-of-two size");
-  K* const k_ptr = keys.data();
-  for (std::size_t k = 2; k <= n; k <<= 1) {
-    for (std::size_t j = k >> 1; j > 0; j >>= 1) {
-      if (nc) {
-        ++nc->lockstep_phases;
-        nc->compare_exchanges += n / 2;
-      }
-      for (std::size_t base = 0; base < n; base += 2 * j) {
-        const bool ascending = (base & k) == 0;
-#pragma omp simd
-        for (std::size_t o = 0; o < j; ++o) {
-          const std::size_t a = base + o;
-          const std::size_t b = a + j;
-          const K ka = k_ptr[a];
-          const K kb = k_ptr[b];
-          const bool sw = cmp(kb, ka) == ascending;
-          k_ptr[a] = sw ? kb : ka;
-          k_ptr[b] = sw ? ka : kb;
-        }
-      }
-    }
-  }
-}
-
-/// Lane-batched variant of bitonic_sort_by_key (see bitonic_sort_simd for
-/// the batching scheme); applies each select to the index array too.
-template <typename K, typename I, typename Compare = std::less<K>>
-void bitonic_sort_by_key_simd(std::span<K> keys, std::span<I> idx,
-                              Compare cmp = {}, NetCounters* nc = nullptr) {
-  const std::size_t n = keys.size();
-  assert(idx.size() == n);
-  if (n <= 1) return;
-  assert(is_pow2(n) && "bitonic_sort_by_key_simd requires a power-of-two size");
-  K* const k_ptr = keys.data();
-  I* const i_ptr = idx.data();
-  for (std::size_t k = 2; k <= n; k <<= 1) {
-    for (std::size_t j = k >> 1; j > 0; j >>= 1) {
-      if (nc) {
-        ++nc->lockstep_phases;
-        nc->compare_exchanges += n / 2;
-      }
-      for (std::size_t base = 0; base < n; base += 2 * j) {
-        const bool ascending = (base & k) == 0;
-#pragma omp simd
-        for (std::size_t o = 0; o < j; ++o) {
-          const std::size_t a = base + o;
-          const std::size_t b = a + j;
-          const K ka = k_ptr[a];
-          const K kb = k_ptr[b];
-          const I ia = i_ptr[a];
-          const I ib = i_ptr[b];
-          const bool sw = cmp(kb, ka) == ascending;
-          k_ptr[a] = sw ? kb : ka;
-          k_ptr[b] = sw ? ka : kb;
-          i_ptr[a] = sw ? ib : ia;
-          i_ptr[b] = sw ? ia : ib;
-        }
-      }
-    }
-  }
-}
-
 /// Gathers `src` rows into `dst` by `perm`: dst row i = src row perm[i].
 /// Rows are `dim` contiguous values. This is the paper's "apply the index
 /// array with non-contiguous reads, contiguous writes" reorder step.

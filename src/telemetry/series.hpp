@@ -2,14 +2,16 @@
 // already compute -- per-group ESS, unique-parent fraction, weight
 // entropy, exchange volume, pool statistics. A point is (step, group,
 // value); group kNoGroup marks a population-level scalar. Column storage
-// per series name keeps recording an O(1) append and lets the sinks
-// stream a whole series without re-grouping.
+// per series name keeps recording an amortized O(1) append per point and
+// lets the sinks stream a whole series without re-grouping. The series
+// grow until the caller clears them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,13 +30,19 @@ class StepSeries {
 
   /// Records a population-level scalar for `step`.
   void record(std::uint64_t step, std::string_view name, double value) {
-    append(name, {step, kNoGroup, value});
+    std::lock_guard lock(mutex_);
+    series_at(name).push_back({step, kNoGroup, value});
   }
 
-  /// Records a per-group value for `step`.
-  void record_group(std::uint64_t step, std::string_view name,
-                    std::size_t group, double value) {
-    append(name, {step, static_cast<std::int64_t>(group), value});
+  /// Records one step's per-group values: `values[g]` becomes group g's
+  /// point, in group order, under one lock and one series lookup.
+  void record_groups(std::uint64_t step, std::string_view name,
+                     std::span<const double> values) {
+    std::lock_guard lock(mutex_);
+    auto& pts = series_at(name);
+    for (std::size_t g = 0; g < values.size(); ++g) {
+      pts.push_back({step, static_cast<std::int64_t>(g), values[g]});
+    }
   }
 
   [[nodiscard]] std::vector<std::string> names() const {
@@ -73,13 +81,13 @@ class StepSeries {
   }
 
  private:
-  void append(std::string_view name, SeriesPoint p) {
-    std::lock_guard lock(mutex_);
+  /// The named series, created empty on first use. Call under the lock.
+  std::vector<SeriesPoint>& series_at(std::string_view name) {
     auto it = series_.find(name);
     if (it == series_.end()) {
       it = series_.emplace(std::string(name), std::vector<SeriesPoint>{}).first;
     }
-    it->second.push_back(p);
+    return it->second;
   }
 
   mutable std::mutex mutex_;

@@ -2,15 +2,20 @@
 // {exchange scheme} x {resampling algorithm} x {generator} is run at small
 // scale and checked for finiteness, weight sanity and worker-count
 // invariance - the properties that must hold for *every* configuration,
-// not just the defaults.
+// not just the defaults. A worker-count grid additionally pins the full
+// filter state - estimates, particles, log-weights and work.* counters -
+// bit-for-bit against the single-worker run.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/distributed_pf.hpp"
 #include "models/robot_arm.hpp"
 #include "sim/ground_truth.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -140,5 +145,72 @@ TEST_P(NetworkShapeTest, TorusHandlesAnyFilterCount) {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, NetworkShapeTest,
                          ::testing::Values<std::size_t>(1, 2, 3, 5, 7, 12, 13, 36));
+
+const char* const kWorkCounters[] = {
+    "work.barriers",    "work.lockstep_phases", "work.compare_exchanges",
+    "work.scan_sweeps", "work.rng_draws",       "work.metropolis_steps"};
+
+struct FilterRun {
+  std::vector<float> estimates;  // concatenated per-step estimates
+  std::vector<float> state;      // final particle states
+  std::vector<float> log_weights;
+  std::vector<std::uint64_t> counters;
+};
+
+FilterRun run_distributed(core::FilterConfig cfg, int steps) {
+  telemetry::Telemetry tel;
+  cfg.telemetry = &tel;
+  sim::RobotArmScenario scenario;
+  scenario.reset(2);
+  core::DistributedParticleFilter<models::RobotArmModel<float>> pf(
+      scenario.make_model<float>(), cfg);
+  std::vector<float> z, u;
+  FilterRun r;
+  for (int k = 0; k < steps; ++k) {
+    const auto step = scenario.advance();
+    z.assign(step.z.begin(), step.z.end());
+    u.assign(step.u.begin(), step.u.end());
+    pf.step(z, u);
+    r.estimates.insert(r.estimates.end(), pf.estimate().begin(),
+                       pf.estimate().end());
+  }
+  const auto snapshot = pf.export_state();
+  r.state = snapshot.state;
+  r.log_weights = snapshot.log_weights;
+  for (const char* name : kWorkCounters) {
+    r.counters.push_back(tel.registry.counter(name).value());
+  }
+  return r;
+}
+
+TEST(WorkerGrid, DistributedFilterBitIdentical) {
+  // workers x resampler, everything compared bit-for-bit against the
+  // single-worker reference: estimates, final particle states,
+  // log-weights, and the deterministic work.* counters (which must not
+  // depend on how groups were spread over threads).
+  for (const auto algo :
+       {core::ResampleAlgorithm::kRws, core::ResampleAlgorithm::kMetropolis}) {
+    core::FilterConfig base;
+    base.particles_per_filter = 32;
+    base.num_filters = 16;
+    base.seed = 9;
+    base.resample = algo;
+    base.workers = 1;
+    const FilterRun ref = run_distributed(base, 3);
+
+    for (const std::size_t workers : {1u, 2u, 8u}) {
+      core::FilterConfig cfg = base;
+      cfg.workers = workers;
+      const FilterRun run = run_distributed(cfg, 3);
+      const std::string where = std::string("resample=") +
+                                core::to_string(algo) +
+                                " workers=" + std::to_string(workers);
+      EXPECT_EQ(run.estimates, ref.estimates) << where;
+      EXPECT_EQ(run.state, ref.state) << where;
+      EXPECT_EQ(run.log_weights, ref.log_weights) << where;
+      EXPECT_EQ(run.counters, ref.counters) << where;
+    }
+  }
+}
 
 }  // namespace

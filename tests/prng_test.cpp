@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <random>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "mcore/thread_pool.hpp"
@@ -140,6 +141,28 @@ TEST(Distributions, BoxMullerFiniteAtZero) {
   EXPECT_TRUE(std::isfinite(z1));
 }
 
+TEST(Distributions, BoxMullerFillMatchesNormalSourceSequence) {
+  // The staged fill must reproduce the NormalSource draw sequence
+  // bit-for-bit under the pinned pairing (radius = second draw of each
+  // pair), for even sizes and for odd sizes where the tail pair's z1 is
+  // consumed but discarded.
+  for (const std::size_t n : {6u, 7u, 64u, 65u}) {
+    const std::size_t pairs = (n + 1) / 2;
+    prng::Mt19937 gen(91);
+    std::vector<double> draws(2 * pairs);
+    for (auto& d : draws) d = prng::uniform01<double>(gen);
+
+    prng::Mt19937 ref_gen(91);
+    prng::NormalSource<double, prng::Mt19937> ref(ref_gen);
+    std::vector<double> expected(n);
+    for (auto& v : expected) v = ref();
+
+    std::vector<double> out(n);
+    prng::box_muller_fill<double>(draws, out);
+    EXPECT_EQ(out, expected) << "n=" << n;
+  }
+}
+
 TEST(Distributions, NormalSourceMoments) {
   prng::Mt19937 gen(17);
   prng::NormalSource<double, prng::Mt19937> normal(gen);
@@ -220,6 +243,52 @@ TEST_P(MtgpStreamTest, ConsecutiveRoundsDiffer) {
   const auto first = buf.normals;
   stream.fill(pool, buf);
   EXPECT_NE(first, buf.normals);
+}
+
+TEST_P(MtgpStreamTest, FillMatchesPerGroupNormalSource) {
+  // Reference: each group's generator (MT seeded from the SplitMix64
+  // chain, or the Philox stream keyed by round and group) feeding a fresh
+  // NormalSource for the normals and uniform01 for the uniforms. Even and
+  // odd normals-per-group: the odd tail consumes a full Box-Muller pair
+  // and discards z1, which a fresh source per round reproduces.
+  constexpr std::size_t kGroups = 4;
+  constexpr std::size_t kUniforms = 5;
+  constexpr std::uint64_t kSeed = 77;
+  for (const std::size_t npg : {8u, 9u}) {
+    mcore::ThreadPool pool(2);
+    prng::MtgpStream stream(kGroups, kSeed, GetParam());
+    prng::RandomBuffer<float> buf;
+    buf.resize(kGroups, npg, kUniforms);
+    std::vector<prng::Mt19937> mt;
+    prng::SplitMix64 mix(kSeed);
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      mt.emplace_back(static_cast<std::uint32_t>(mix() >> 16));
+    }
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      stream.fill(pool, buf);
+      for (std::size_t g = 0; g < kGroups; ++g) {
+        std::vector<float> normals(npg), uniforms(kUniforms);
+        const auto reference = [&](auto& gen) {
+          prng::NormalSource<float, std::remove_reference_t<decltype(gen)>>
+              normal(gen);
+          for (auto& v : normals) v = normal();
+          for (auto& v : uniforms) v = prng::uniform01<float>(gen);
+        };
+        if (GetParam() == prng::Generator::kMtgp) {
+          reference(mt[g]);
+        } else {
+          prng::PhiloxStream gen(kSeed, (round << 32) | g);
+          reference(gen);
+        }
+        const auto got_n = buf.group_normals(g);
+        const auto got_u = buf.group_uniforms(g);
+        EXPECT_EQ(std::vector<float>(got_n.begin(), got_n.end()), normals)
+            << "npg=" << npg << " round=" << round << " group=" << g;
+        EXPECT_EQ(std::vector<float>(got_u.begin(), got_u.end()), uniforms)
+            << "npg=" << npg << " round=" << round << " group=" << g;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Generators, MtgpStreamTest,

@@ -1,6 +1,8 @@
 // Sorting-network and scan tests: the lock-step bitonic sort, permutation
 // tracking, row gathering, Blelloch scan and the reductions are verified
-// against their serial oracles over parameterized sizes and input patterns.
+// against their serial oracles over parameterized sizes and input patterns,
+// and the filters' local-sort lane kernel against a one-thread-per-lane
+// SIMT run of the same network.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +12,9 @@
 #include <random>
 #include <vector>
 
+#include "device/backend.hpp"
+#include "device/simt.hpp"
+#include "prng/mt19937.hpp"
 #include "sortnet/bitonic.hpp"
 #include "sortnet/scan.hpp"
 
@@ -184,6 +189,70 @@ TEST(Reduce, TreeSumMatchesSerial) {
       serial += x;
     }
     EXPECT_NEAR(sortnet::tree_reduce_sum<double>(v), serial, 1e-9) << "n=" << n;
+  }
+}
+
+std::vector<float> pseudo_floats(std::size_t n, std::uint32_t seed) {
+  prng::Mt19937 gen(seed);
+  std::vector<float> v(n);
+  // Include exact duplicates so tie-handling differences would show.
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<float>(gen() % 97) * 0.125f;
+  }
+  return v;
+}
+
+/// The local-sort device program on real lane threads: descending
+/// (key, index) bitonic sort, one barrier per compare-exchange round.
+void simt_sort_pairs_desc(std::vector<float>& keys,
+                          std::vector<std::uint32_t>& idx) {
+  const std::size_t n = keys.size();
+  device::run_simt_group(n, [&](device::LaneContext& ctx) {
+    const std::size_t i = ctx.lane_id();
+    for (std::size_t k = 2; k <= n; k <<= 1) {
+      for (std::size_t j = k >> 1; j > 0; j >>= 1) {
+        const std::size_t l = i ^ j;
+        if (l > i) {
+          const bool ascending = (i & k) == 0;
+          if ((keys[l] > keys[i]) == ascending) {
+            std::swap(keys[i], keys[l]);
+            std::swap(idx[i], idx[l]);
+          }
+        }
+        ctx.barrier();
+      }
+    }
+  });
+}
+
+TEST(LaneOpsSort, SortPairsDescMatchesSimtLanes) {
+  // The kernel the filters' local sort calls, lane by lane, against the
+  // same network on one real thread per lane: keys, the permutation and
+  // the schedule's closed-form work tally must all agree.
+  const auto& ops = device::lane_ops<float>();
+  for (const std::size_t n : {2u, 8u, 64u, 512u}) {
+    const auto input = pseudo_floats(n, 11 + static_cast<std::uint32_t>(n));
+    std::vector<std::uint32_t> iota(n);
+    std::iota(iota.begin(), iota.end(), 0u);
+
+    auto k_lanes = input;
+    auto k_simt = input;
+    auto i_lanes = iota;
+    auto i_simt = iota;
+    sortnet::NetCounters nc;
+    ops.sort_pairs_desc(k_lanes, i_lanes, &nc);
+    simt_sort_pairs_desc(k_simt, i_simt);
+
+    EXPECT_EQ(k_lanes, k_simt) << "n=" << n;
+    EXPECT_EQ(i_lanes, i_simt) << "n=" << n;
+    EXPECT_TRUE(std::is_sorted(k_lanes.begin(), k_lanes.end(),
+                               std::greater<float>()))
+        << "n=" << n;
+    std::size_t log2n = 0;
+    while ((std::size_t{1} << log2n) < n) ++log2n;
+    const std::uint64_t phases = log2n * (log2n + 1) / 2;
+    EXPECT_EQ(nc.lockstep_phases, phases) << "n=" << n;
+    EXPECT_EQ(nc.compare_exchanges, phases * (n / 2)) << "n=" << n;
   }
 }
 

@@ -236,15 +236,50 @@ TEST(TraceRecorder, RecordsNestedSpansAndValidChromeTrace) {
 TEST(StepSeries, RecordsScalarsAndGroups) {
   telemetry::StepSeries s;
   s.record(0, "ess.mean", 10.0);
-  s.record_group(0, "ess", 3, 12.5);
-  s.record_group(1, "ess", 3, 11.0);
-  EXPECT_EQ(s.point_count(), 3u);
+  s.record_groups(0, "ess", std::vector<double>{9.0, 12.5});
+  s.record_groups(1, "ess", std::vector<double>{8.0, 11.0});
+  EXPECT_EQ(s.point_count(), 5u);
   const auto pts = s.points("ess");
-  ASSERT_EQ(pts.size(), 2u);
-  EXPECT_EQ(pts[0].group, 3);
-  EXPECT_EQ(pts[1].step, 1u);
+  ASSERT_EQ(pts.size(), 4u);
+  EXPECT_EQ(pts[1].group, 1);
+  EXPECT_EQ(pts[1].value, 12.5);
+  EXPECT_EQ(pts[2].step, 1u);
+  EXPECT_EQ(pts[2].group, 0);
   EXPECT_EQ(s.points("ess.mean")[0].group, telemetry::StepSeries::kNoGroup);
   EXPECT_TRUE(s.points("absent").empty());
+}
+
+TEST(StepSeries, RecordGroupsEqualsPerGroupPoints) {
+  // One record_groups call per (step, series) must leave exactly the
+  // points a per-group append loop would: (step, g, values[g]) for every
+  // g in group order, steps in recording order, series kept apart.
+  telemetry::StepSeries s;
+  std::vector<telemetry::SeriesPoint> want_ess, want_entropy;
+  for (std::uint64_t step = 0; step < 4; ++step) {
+    std::vector<double> ess(5), entropy(5);
+    for (std::size_t g = 0; g < ess.size(); ++g) {
+      ess[g] = 100.0 * static_cast<double>(step) + static_cast<double>(g);
+      entropy[g] = -0.5 * static_cast<double>(g) - static_cast<double>(step);
+      want_ess.push_back({step, static_cast<std::int64_t>(g), ess[g]});
+      want_entropy.push_back({step, static_cast<std::int64_t>(g), entropy[g]});
+    }
+    s.record_groups(step, "ess", ess);
+    s.record(step, "ess.mean", 1.0);
+    s.record_groups(step, "entropy", entropy);
+  }
+  s.record_groups(4, "ess", {});  // no groups: no points
+  const auto same = [](const std::vector<telemetry::SeriesPoint>& got,
+                       const std::vector<telemetry::SeriesPoint>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].step, want[i].step) << i;
+      EXPECT_EQ(got[i].group, want[i].group) << i;
+      EXPECT_EQ(got[i].value, want[i].value) << i;
+    }
+  };
+  same(s.points("ess"), want_ess);
+  same(s.points("entropy"), want_entropy);
+  EXPECT_EQ(s.point_count(), 2 * 4 * 5 + 4u);
 }
 
 TEST(Sinks, JsonlCsvAndSnapshotRoundTrip) {
@@ -252,7 +287,7 @@ TEST(Sinks, JsonlCsvAndSnapshotRoundTrip) {
   tel.registry.counter("steps").add(2);
   tel.registry.histogram("stage.rand").record(5e-4);
   tel.series.record(0, "ess.mean", 31.0);
-  tel.series.record_group(0, "ess", 1, 30.0);
+  tel.series.record_groups(0, "ess", std::vector<double>{29.0, 30.0});
 
   std::ostringstream jsonl;
   telemetry::write_series_jsonl(jsonl, tel.series);
@@ -264,7 +299,7 @@ TEST(Sinks, JsonlCsvAndSnapshotRoundTrip) {
     std::string err;
     EXPECT_TRUE(telemetry::json::validate(line, &err)) << err << "\n" << line;
   }
-  EXPECT_EQ(n_lines, 2u);
+  EXPECT_EQ(n_lines, 3u);
   EXPECT_NE(jsonl.str().find("\"group\":1"), std::string::npos);
 
   std::ostringstream csv;
@@ -394,6 +429,55 @@ TEST(TelemetryEquivalence, DistributedEstimatesAreBitIdentical) {
   for (const double f : on.group_unique_parent_fraction()) {
     EXPECT_GT(f, 0.0);
     EXPECT_LE(f, 1.0);
+  }
+}
+
+TEST(StepSeries, DistributedFilterRecordsEveryGroupEachStep) {
+  // The filter's per-group series hold, for every step in order, one
+  // point per group in group order with that step's diagnostics.
+  using Filter = core::DistributedParticleFilter<models::RobotArmModel<float>>;
+  telemetry::Telemetry tel;
+  core::FilterConfig cfg = tel_config();
+  cfg.telemetry = &tel;
+  sim::RobotArmScenario scenario;
+  scenario.reset(5);
+  Filter pf(scenario.make_model<float>(), cfg);
+  std::vector<double> ess, unique;
+  std::vector<float> z, u;
+  constexpr int kSteps = 5;
+  for (int k = 0; k < kSteps; ++k) {
+    const auto step = scenario.advance();
+    z.assign(step.z.begin(), step.z.end());
+    u.assign(step.u.begin(), step.u.end());
+    pf.step(z, u);
+    ess.insert(ess.end(), pf.group_ess().begin(), pf.group_ess().end());
+    unique.insert(unique.end(), pf.group_unique_parent_fraction().begin(),
+                  pf.group_unique_parent_fraction().end());
+  }
+  const std::size_t groups = cfg.num_filters;
+  const auto means = tel.series.points("entropy.mean");
+  ASSERT_EQ(means.size(), static_cast<std::size_t>(kSteps));
+  const auto check = [&](const char* name, const std::vector<double>* want) {
+    const auto pts = tel.series.points(name);
+    ASSERT_EQ(pts.size(), kSteps * groups) << name;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      EXPECT_EQ(pts[i].step, means[i / groups].step) << name << " " << i;
+      EXPECT_EQ(pts[i].group, static_cast<std::int64_t>(i % groups))
+          << name << " " << i;
+      if (want != nullptr) {
+        EXPECT_EQ(pts[i].value, (*want)[i]) << name << " " << i;
+      }
+    }
+  };
+  check("ess", &ess);
+  check("unique_parent", &unique);
+  check("entropy", nullptr);
+  // entropy.mean is the group-order mean of the same step's entropy points.
+  const auto entropy = tel.series.points("entropy");
+  for (std::size_t k = 0; k < means.size(); ++k) {
+    double sum = 0.0;
+    for (std::size_t g = 0; g < groups; ++g) sum += entropy[k * groups + g].value;
+    EXPECT_EQ(means[k].value, sum / static_cast<double>(groups)) << k;
   }
 }
 
